@@ -1,6 +1,6 @@
 //! The accelerator: composition and main simulation loop.
 
-use crate::config::DeltaConfig;
+use crate::config::{DeltaConfig, Engine};
 use crate::dispatch::{is_ready, undeclared_pipe_msg, PendingTask};
 use crate::exec::{
     DramJobSpec, Feed, FeedKind, ProgressSig, Sink, SinkKind, TaskExec, Tile, TileIo,
@@ -155,16 +155,17 @@ struct RunState {
     timeline: Vec<(u64, u32)>,
     skipped_cycles: u64,
     /// Per-tile lazy-schedule marker: the count of cycles this tile has
-    /// been advanced through (ticked or replayed). A live tile is kept
-    /// at `now + 1` by its dense tick; an idle tile under `active_set`
-    /// falls behind and is caught up in closed form when a dispatch or
-    /// steal wakes it.
+    /// been advanced through (ticked or replayed). A ticked tile is kept
+    /// at `now + 1`; a tile the event engine defers falls behind and is
+    /// caught up in closed form when its next event comes due or a
+    /// dispatch, steal or arriving flit wakes it. The dense engine ticks
+    /// every tile every cycle, so its markers never fall behind.
     tile_synced: Vec<u64>,
-    /// Per-tile cached activity under the event-driven tile scheduler
-    /// (`cfg.tile_events`): the clamped result of the tile's last
-    /// post-tick [`Tile::next_event`] evaluation. Invalidated to
-    /// `Activity::Now` by [`touch_tile`](Self::touch_tile) whenever
-    /// external state the tile observes changes.
+    /// Per-tile cached activity under the event engine: the clamped
+    /// result of the tile's last post-tick [`Tile::next_event`]
+    /// evaluation. Invalidated to `Activity::Now` by
+    /// [`touch_tile`](Self::touch_tile) whenever external state the tile
+    /// observes changes. Never read by the dense engine.
     tile_next: Vec<Activity>,
     /// Lazy-schedule marker for the memory controller.
     mem_synced: u64,
@@ -638,7 +639,7 @@ impl RunState {
     // ---------------------------------------------------------------- main
 
     fn main_loop<P: Program + ?Sized>(&mut self, program: &mut P) -> Result<RunReport, RunError> {
-        let active = self.cfg.active_set;
+        let dense = self.cfg.engine == Engine::Dense;
         loop {
             if self.now >= self.cfg.max_cycles
                 || self.now - self.last_progress > self.cfg.stall_limit
@@ -649,14 +650,12 @@ impl RunState {
                 });
             }
 
-            // Idle-cycle skipping: when no component needs a dense tick
-            // and every pending event is due at a known future cycle,
+            // Next-event jump: when no component needs a dense tick and
+            // every pending event is due at a known future cycle,
             // fast-forward to the earliest one instead of looping
             // through dead cycles.
-            if self.cfg.idle_skip {
-                if let Some(target) = self.skip_target() {
-                    self.skip_idle_until(target);
-                }
+            if let Some(target) = self.skip_target() {
+                self.skip_idle_until(target);
             }
             self.profile.loop_cycles += 1;
 
@@ -750,9 +749,10 @@ impl RunState {
                 }
             }
 
-            // tiles execute: under active-set scheduling only live tiles
-            // tick; an idle tile's marker freezes and its skipped
-            // stretch is replayed when a dispatch or steal wakes it
+            // tiles execute: the event engine skips tiles whose next
+            // interesting cycle is still ahead; on a due event the
+            // deferred stretch replays in closed form before the dense
+            // tick (the dense engine ticks every tile, never behind)
             let mut completed = Vec::new();
             {
                 let (tiles, mesh, memctrl, pipes) = (
@@ -770,42 +770,19 @@ impl RunState {
                     trace: &mut self.trace,
                 };
                 for (t, tile) in tiles.iter_mut().enumerate() {
-                    if active {
-                        if self.cfg.tile_events {
-                            // event-driven: skip tiles whose next
-                            // interesting cycle is still ahead; on a due
-                            // event, replay the deferred stretch in
-                            // closed form before the dense tick
-                            if !self.tile_next[t].is_active(self.now) {
-                                continue;
-                            }
-                            let behind = self.now - self.tile_synced[t];
-                            if behind > 0 {
-                                if tile.is_idle() {
-                                    tile.skip_idle_cycles(behind);
-                                    self.profile.tile_skipped += behind;
-                                } else {
-                                    tile.bulk_advance(behind);
-                                    self.profile.tile_bulk_cycles += behind;
-                                }
-                                self.profile.tile_stretch_hist[stretch_bucket(behind)] += 1;
-                                self.profile.tile_wakes += 1;
-                            }
-                            self.tile_synced[t] = self.now + 1;
-                        } else if tile.is_idle() {
-                            continue;
-                        } else {
-                            debug_assert_eq!(
-                                self.tile_synced[t], self.now,
-                                "tile {t} ticking without catch-up"
-                            );
-                            self.tile_synced[t] = self.now + 1;
-                        }
+                    if !dense && !self.tile_next[t].is_active(self.now) {
+                        continue;
                     }
+                    let behind = self.now - self.tile_synced[t];
+                    if behind > 0 {
+                        replay_tile(tile, behind, &mut self.profile);
+                        self.profile.tile_wakes += 1;
+                    }
+                    self.tile_synced[t] = self.now + 1;
                     // a failed or transiently stalled tile with queued
                     // work burns the cycle without executing (degenerate
                     // tick); an *idle* down tile follows the normal idle
-                    // paths so the fast-path equivalence is untouched
+                    // paths so the engine equivalence is untouched
                     if let Some(fs) = &self.fsched {
                         if !tile.is_idle() && fs.tile_down(t, self.now) {
                             tile.stats.bump("fault_down_cycles");
@@ -824,18 +801,15 @@ impl RunState {
                                 }
                             }
                             self.profile.tile_ticks += 1;
-                            if self.cfg.tile_events {
-                                // down tiles stay dense: recovery
-                                // decisions and stall-window edges are
-                                // cycle-granular
-                                self.tile_next[t] = Activity::Now;
-                            }
+                            // down tiles stay dense: recovery decisions
+                            // and stall-window edges are cycle-granular
+                            self.tile_next[t] = Activity::Now;
                             continue;
                         }
                     }
                     completed.extend(tile.tick(&mut io, &self.cfg));
                     self.profile.tile_ticks += 1;
-                    if self.cfg.tile_events {
+                    if !dense {
                         // post-tick contract: cache where the next tick
                         // could matter, clamped to the tile's next
                         // possible fault transition so degenerate ticks
@@ -865,43 +839,32 @@ impl RunState {
                 self.steal_cycle();
             }
 
-            // memory controller: defer while its only pending state is
-            // time-gated (in-flight DRAM words, not-yet-due requests)
-            // or absent; a deferred stretch replays as bandwidth refill
-            if active {
-                if self.memctrl.activity().is_active(self.now) {
-                    let behind = self.now - self.mem_synced;
-                    if behind > 0 {
-                        self.memctrl.replay_idle_cycles(behind);
-                        self.profile.mem_skipped += behind;
-                        self.profile.mem_wakes += 1;
-                    }
-                    self.memctrl.tick(self.now, &mut self.mesh);
-                    self.mem_synced = self.now + 1;
-                    self.profile.mem_ticks += 1;
+            // memory controller: the event engine defers it while its
+            // only pending state is time-gated (in-flight DRAM words,
+            // not-yet-due requests) or absent; a deferred stretch
+            // replays as bandwidth refill
+            if dense || self.memctrl.activity().is_active(self.now) {
+                let behind = self.now - self.mem_synced;
+                if behind > 0 {
+                    self.replay_mem(behind);
+                    self.profile.mem_wakes += 1;
                 }
-            } else {
                 self.memctrl.tick(self.now, &mut self.mesh);
+                self.mem_synced = self.now + 1;
                 self.profile.mem_ticks += 1;
             }
 
-            // mesh: defer while no flit is in transit (pending ejections
-            // need the consumers above, not the router sweep); a
-            // deferred stretch replays as arbitration-rotation advance
-            if active {
-                if !self.mesh.is_idle() {
-                    let behind = self.now - self.mesh_synced;
-                    if behind > 0 {
-                        self.mesh.replay_idle_cycles(behind);
-                        self.profile.noc_skipped += behind;
-                        self.profile.noc_wakes += 1;
-                    }
-                    self.mesh.tick();
-                    self.mesh_synced = self.now + 1;
-                    self.profile.noc_ticks += 1;
+            // mesh: deferred while no flit is in transit (pending
+            // ejections need the consumers above, not the router sweep);
+            // a deferred stretch replays as arbitration-rotation advance
+            if dense || !self.mesh.is_idle() {
+                let behind = self.now - self.mesh_synced;
+                if behind > 0 {
+                    self.replay_mesh(behind);
+                    self.profile.noc_wakes += 1;
                 }
-            } else {
                 self.mesh.tick();
+                self.mesh_synced = self.now + 1;
                 self.profile.noc_ticks += 1;
             }
 
@@ -941,29 +904,17 @@ impl RunState {
 
     /// The component activities folded into one machine-level need, plus
     /// the due-queue fronts. `Now` suppresses jumping; `At(t)` names the
-    /// next event. Reads only state that is identical whether components
-    /// are ticked densely or lazily (queue contents, time-gated fronts
-    /// and the cached per-tile next events — which both `active_set`
-    /// modes maintain identically — never budget levels), so the jump
-    /// decision — and with it `skipped_cycles` — is bit-identical across
-    /// `active_set` modes.
-    ///
-    /// Under `tile_events` a blocked tile contributes its cached next
-    /// event instead of the pessimistic `Now`, which is what lets the
-    /// machine jump over stretches where every queued task is provably
-    /// waiting on stream data.
+    /// next event. Each tile contributes its cached next event, so a
+    /// blocked tile does not pin the machine to dense ticking: the
+    /// machine can jump over stretches where every queued task is
+    /// provably waiting on stream data.
     ///
     /// `Now` is absorbing, so the scan returns the moment any component
     /// reports it — this runs every densely ticked cycle, and on a busy
     /// machine the first tile usually answers.
     fn machine_activity(&self) -> Activity {
         let mut act = Activity::Idle;
-        for (t, tile) in self.tiles.iter().enumerate() {
-            let a = if self.cfg.tile_events {
-                self.tile_next[t]
-            } else {
-                tile.activity()
-            };
+        for &a in &self.tile_next {
             match a {
                 Activity::Now => return Activity::Now,
                 a => act = act.merge(a),
@@ -1020,11 +971,12 @@ impl RunState {
     /// component's next event (due spawn/host entries, admitted memory
     /// requests waiting out control latency, in-flight DRAM words),
     /// capped so the timeout check still fires on exactly the cycle it
-    /// would under dense ticking. `None` when any component needs dense
-    /// ticking (busy tile, in-transit flit, undrained ejection, unserved
-    /// DRAM job) or nothing is due after `now`.
+    /// would under dense ticking. `None` under the dense engine, when any
+    /// component needs dense ticking (busy tile, in-transit flit,
+    /// undrained ejection, unserved DRAM job), or when nothing is due
+    /// after `now`.
     fn skip_target(&self) -> Option<u64> {
-        if !self.pending.is_empty() {
+        if self.cfg.engine == Engine::Dense || !self.pending.is_empty() {
             return None;
         }
         let next_due = match self.machine_activity() {
@@ -1035,82 +987,53 @@ impl RunState {
         let mut target = next_due
             .min(self.cfg.max_cycles)
             .min(self.last_progress + self.cfg.stall_limit + 1);
-        // Event-driven tiles let the machine jump while tasks are still
-        // queued (legacy jumps require every queue empty), which exposes
-        // per-cycle machinery the all-idle case proves inert:
-        if self.cfg.tile_events {
-            // the steal scan acts (attempt traces, migrations) whenever
-            // an idle tile coexists with a loaded one, and a transiently
-            // stalled idle tile can become a thief mid-stretch — only a
-            // fail-stopped tile provably never will
-            if self.cfg.work_stealing
-                && self.tiles.iter().any(|t| t.queue.len() >= 2)
-                && self.tiles.iter().enumerate().any(|(t, tile)| {
-                    tile.is_idle()
-                        && !self
-                            .fsched
-                            .as_ref()
-                            .is_some_and(|fs| fs.tile_failed(t, self.now))
-                })
-            {
-                return None;
-            }
-            // fault transitions (fail-stops, stall-window edges) and
-            // recovery-watchdog scans happen in dense loop iterations;
-            // clamp the jump so none is skipped while work is in flight.
-            // All-idle jumps keep the legacy behaviour (transitions of
-            // empty tiles are observed late, exactly as before).
-            if let Some(fs) = &self.fsched {
-                if self.tiles.iter().any(|t| !t.is_idle()) {
-                    for t in 0..self.tiles.len() {
-                        if let Some(c) = fs.next_tile_transition(t, self.now) {
-                            target = target.min(c);
-                        }
+        // Jumps may fire while tasks are still queued on blocked tiles,
+        // which exposes per-cycle machinery the all-idle case proves
+        // inert. The steal scan acts (attempt traces, migrations)
+        // whenever an idle tile coexists with a loaded one, and a
+        // transiently stalled idle tile can become a thief mid-stretch —
+        // only a fail-stopped tile provably never will.
+        if self.cfg.work_stealing
+            && self.tiles.iter().any(|t| t.queue.len() >= 2)
+            && self.tiles.iter().enumerate().any(|(t, tile)| {
+                tile.is_idle()
+                    && !self
+                        .fsched
+                        .as_ref()
+                        .is_some_and(|fs| fs.tile_failed(t, self.now))
+            })
+        {
+            return None;
+        }
+        // fault transitions (fail-stops, stall-window edges) and
+        // recovery-watchdog scans happen in dense loop iterations; clamp
+        // the jump so none is skipped while work is in flight (all-idle
+        // jumps observe transitions of empty tiles late)
+        if let Some(fs) = &self.fsched {
+            if self.tiles.iter().any(|t| !t.is_idle()) {
+                for t in 0..self.tiles.len() {
+                    if let Some(c) = fs.next_tile_transition(t, self.now) {
+                        target = target.min(c);
                     }
-                    if fs.recovery() {
-                        target = target.min((self.now / WATCHDOG_STRIDE + 1) * WATCHDOG_STRIDE);
-                    }
+                }
+                if fs.recovery() {
+                    target = target.min((self.now / WATCHDOG_STRIDE + 1) * WATCHDOG_STRIDE);
                 }
             }
         }
         (target > self.now).then_some(target)
     }
 
-    /// Fast-forwards from `now` to `target`. Under `active_set` the
-    /// skipped window simply never executes — each component's marker
-    /// stays put and its replay happens at the next wake. Under dense
-    /// ticking every component is replayed eagerly here: per-tile budget
-    /// refills and `idle_cycles` accounting, the DRAM bandwidth refill,
-    /// the NoC arbitration rotation. Either way the all-idle timeline
-    /// samples are backfilled, so a skipped region is bit-identical to a
-    /// dense one.
+    /// Fast-forwards from `now` to `target`. The skipped window simply
+    /// never executes — each component's marker stays put and its
+    /// replay happens at its next wake (or in [`catch_up`](Self::catch_up)).
+    /// The timeline samples are backfilled, so a skipped region is
+    /// bit-identical to a dense one.
     fn skip_idle_until(&mut self, target: u64) {
         let k = target - self.now;
-        if !self.cfg.active_set {
-            // markers are not maintained under dense ticking, so the
-            // whole machine replays eagerly here instead; tiles holding
-            // blocked work (reachable only under `tile_events`) replay
-            // as a bulk advance rather than an idle skip
-            for tile in &mut self.tiles {
-                if tile.is_idle() {
-                    tile.skip_idle_cycles(k);
-                    self.profile.tile_skipped += k;
-                } else {
-                    tile.bulk_advance(k);
-                    self.profile.tile_bulk_cycles += k;
-                }
-                self.profile.tile_stretch_hist[stretch_bucket(k)] += 1;
-            }
-            self.memctrl.replay_idle_cycles(k);
-            self.mesh.skip_idle_cycles(k);
-            self.profile.mem_skipped += k;
-            self.profile.noc_skipped += k;
-            self.profile.mem_stretch_hist[stretch_bucket(k)] += 1;
-            self.profile.noc_stretch_hist[stretch_bucket(k)] += 1;
-        }
         // Timeline samples at stride multiples in [now, target) all see
-        // the frozen busy-tile count (zero on legacy all-idle jumps; the
-        // queues cannot change mid-jump either way). Trace samples at
+        // the frozen busy-tile count (zero on all-idle jumps; the queues
+        // cannot change mid-jump either way). Trace samples at
         // the same points see the *frozen* component state: a skippable
         // stretch has no gated requests, no backlog, no DRAM service
         // work and an empty mesh (any of those forces dense ticking),
@@ -1151,68 +1074,58 @@ impl RunState {
     /// Catches a lazily deferred tile up to cycle `upto` (exclusive)
     /// *before* external state it can observe changes — a dispatch, a
     /// steal, an arriving flit, a recovery eviction, a producer
-    /// completing. The deferred stretch replays in closed form (an idle
-    /// skip when the queue is empty, a blocked-head bulk advance
-    /// otherwise), and under `tile_events` the cached next event drops
-    /// to `Now` so the tile re-evaluates the changed state densely. A
-    /// no-op for live tiles, whose markers are already current; under
-    /// dense ticking only the cache invalidation applies.
+    /// completing — and drops its cached next event to `Now` so the tile
+    /// re-evaluates the changed state densely. A no-op for ticked tiles
+    /// (always the case under the dense engine), whose markers are
+    /// already current.
     fn touch_tile(&mut self, t: usize, upto: u64) {
-        if self.cfg.active_set {
-            let behind = upto - self.tile_synced[t];
-            if behind > 0 {
-                if self.tiles[t].is_idle() {
-                    self.tiles[t].skip_idle_cycles(behind);
-                    self.profile.tile_skipped += behind;
-                } else {
-                    self.tiles[t].bulk_advance(behind);
-                    self.profile.tile_bulk_cycles += behind;
-                }
-                self.profile.tile_stretch_hist[stretch_bucket(behind)] += 1;
-                self.tile_synced[t] = upto;
-                self.profile.tile_wakes += 1;
-            }
+        let behind = upto - self.tile_synced[t];
+        if behind > 0 {
+            replay_tile(&mut self.tiles[t], behind, &mut self.profile);
+            self.tile_synced[t] = upto;
+            self.profile.tile_wakes += 1;
         }
-        if self.cfg.tile_events {
-            self.tile_next[t] = Activity::Now;
-        }
+        self.tile_next[t] = Activity::Now;
+    }
+
+    /// Replays `behind` deferred memory-controller cycles (bandwidth
+    /// refill) and attributes them to the profile.
+    fn replay_mem(&mut self, behind: u64) {
+        self.memctrl.replay_idle_cycles(behind);
+        self.profile.mem_skipped += behind;
+        self.profile.mem_stretch_hist[stretch_bucket(behind)] += 1;
+    }
+
+    /// Replays `behind` deferred mesh cycles (arbitration rotation) and
+    /// attributes them to the profile.
+    fn replay_mesh(&mut self, behind: u64) {
+        self.mesh.replay_idle_cycles(behind);
+        self.profile.noc_skipped += behind;
+        self.profile.noc_stretch_hist[stretch_bucket(behind)] += 1;
     }
 
     /// Replays every component's outstanding skipped stretch (without
     /// waking it for new work) so component-local statistics — idle
     /// cycles, budget levels, arbitration rotation — match the densely
-    /// ticked machine exactly. Called once, after the run completes.
-    /// Under dense ticking nothing is ever deferred (and markers are
-    /// not maintained), so there is nothing to settle.
+    /// ticked machine exactly. Called once, after the run completes; a
+    /// no-op under the dense engine, which never falls behind.
     fn catch_up(&mut self) {
-        if !self.cfg.active_set {
-            return;
-        }
         for t in 0..self.tiles.len() {
             let behind = self.now - self.tile_synced[t];
             if behind > 0 {
-                if self.tiles[t].is_idle() {
-                    self.tiles[t].skip_idle_cycles(behind);
-                    self.profile.tile_skipped += behind;
-                } else {
-                    self.tiles[t].bulk_advance(behind);
-                    self.profile.tile_bulk_cycles += behind;
-                }
-                self.profile.tile_stretch_hist[stretch_bucket(behind)] += 1;
+                replay_tile(&mut self.tiles[t], behind, &mut self.profile);
                 self.tile_synced[t] = self.now;
             }
         }
         let behind = self.now - self.mem_synced;
         if behind > 0 {
-            self.memctrl.replay_idle_cycles(behind);
+            self.replay_mem(behind);
             self.mem_synced = self.now;
-            self.profile.mem_skipped += behind;
         }
         let behind = self.now - self.mesh_synced;
         if behind > 0 {
-            self.mesh.replay_idle_cycles(behind);
+            self.replay_mesh(behind);
             self.mesh_synced = self.now;
-            self.profile.noc_skipped += behind;
         }
     }
 
@@ -1418,7 +1331,7 @@ impl RunState {
         let trace_dropped = trace.dropped();
         // injection counts come from pure enumerations of the schedule
         // (not from per-cycle observation), so the report is identical
-        // whichever scheduler fast paths ran
+        // under either engine
         if let Some(fs) = &self.fsched {
             self.freport.tile_fail_stops = fs.count_fail_stops(self.now);
             self.freport.tile_stalls = fs.count_stalls(self.now);
@@ -1927,8 +1840,9 @@ impl RunState {
             return;
         }
         // recorded only past the loaded-victim check: during idle
-        // stretches (which idle_skip fast-forwards) every queue is
-        // empty, so the densely ticked machine emits nothing either
+        // stretches (which the next-event jump fast-forwards) every
+        // queue is empty, so the densely ticked machine emits nothing
+        // either
         self.trace
             .emit(self.now, TraceEvent::StealAttempt { thief, victim });
         let Some(qi) = self.tiles[victim].steal_candidate(self.cfg.prefetch_depth) else {
@@ -2504,6 +2418,20 @@ impl RunState {
 /// direct mode their fabric time overlaps the producers' runtime), so
 /// counting their full hint would double-count work and repel unrelated
 /// tasks from their tile; they are discounted instead.
+/// Replays a tile's deferred stretch of `behind` cycles in closed form
+/// — an idle skip when its queue is empty, a blocked-head bulk advance
+/// otherwise — and attributes it to the profile.
+fn replay_tile(tile: &mut Tile, behind: u64, profile: &mut SimProfile) {
+    if tile.is_idle() {
+        tile.skip_idle_cycles(behind);
+        profile.tile_skipped += behind;
+    } else {
+        tile.bulk_advance(behind);
+        profile.tile_bulk_cycles += behind;
+    }
+    profile.tile_stretch_hist[stretch_bucket(behind)] += 1;
+}
+
 fn placement_hint(inst: &TaskInstance) -> u64 {
     let all_pipes = !inst.inputs.is_empty()
         && inst

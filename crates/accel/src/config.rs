@@ -45,6 +45,28 @@ impl Features {
     }
 }
 
+/// How the simulator advances time. Neither engine is a modelled
+/// mechanism: a run's report — cycles, stats, timeline, DRAM image,
+/// trace stream and fault report — is bit-identical under both, and
+/// only the [`SimProfile`](crate::SimProfile) bookkeeping differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The production engine. Only components that report activity
+    /// tick: a tile until its next *interesting* cycle (a blocked
+    /// running head is bulk-advanced in closed form, an empty queue
+    /// replays its idle cycles), the memory controller while requests
+    /// or due DRAM words exist, the mesh while flits are in transit.
+    /// Skipped stretches replay in closed form when an event wakes the
+    /// component, and when nothing needs a dense tick the cycle counter
+    /// jumps to the earliest pending event.
+    Event,
+    /// The reference engine: every component ticks every cycle and the
+    /// cycle counter never jumps. Obviously faithful to the per-cycle
+    /// model, so differential tests compare
+    /// [`Event`](Engine::Event) against it.
+    Dense,
+}
+
 /// Full configuration of a Delta (or baseline) instance.
 #[derive(Debug, Clone)]
 pub struct DeltaConfig {
@@ -102,40 +124,9 @@ pub struct DeltaConfig {
     /// not started (outside the prefetch window, no pipes, no
     /// scratchpad side effects) are eligible.
     pub work_stealing: bool,
-    /// Simulator fast path (not a modelled mechanism): when no component
-    /// reports dense activity and every pending event — spawn/host
-    /// latency queues, admitted-but-not-due memory requests, in-flight
-    /// DRAM words — is due at a known future cycle, jump the cycle
-    /// counter to the earliest of those events instead of ticking every
-    /// component through dead cycles (a min-over-components next-event
-    /// jump; busy tiles or in-transit flits suppress it). Results are
-    /// bit-identical either way (each component's idle tick is replayed
-    /// in closed form); the toggle exists so equivalence can be
-    /// regression-tested.
-    pub idle_skip: bool,
-    /// Simulator fast path (not a modelled mechanism): tick only the
-    /// components that report activity — tiles with queued tasks, the
-    /// memory controller while requests or in-flight DRAM words exist,
-    /// the mesh while flits are in transit or ejections are pending —
-    /// and replay each skipped component's idle cycles in closed form
-    /// when an event (dispatch, steal, injection, due request) wakes
-    /// it. Results are bit-identical either way; the toggle exists so
-    /// equivalence can be regression-tested, and it composes with
-    /// `idle_skip` in any combination.
-    pub active_set: bool,
-    /// Simulator fast path (not a modelled mechanism): event-driven
-    /// tile execution. After each dense tile tick, compute the tile's
-    /// next *interesting* cycle in closed form — a task provably
-    /// blocked on stream/pipe arrivals, a staging front coming due, a
-    /// stall-rotation boundary — and until then replay the tile's
-    /// cycles in bulk (budget refills, busy/stall accounting, slot
-    /// credit) instead of ticking it densely. Results are bit-identical
-    /// either way (the bulk replay mirrors the dense tick on a frozen
-    /// queue exactly, and external events force an eager catch-up);
-    /// the toggle exists so equivalence can be regression-tested, and
-    /// it composes with `idle_skip` and `active_set` in any
-    /// combination.
-    pub tile_events: bool,
+    /// How the simulator advances time (not a modelled mechanism; see
+    /// [`Engine`]). Reports are bit-identical under either engine.
+    pub engine: Engine,
     /// Record a structured event trace of the run (task lifecycle,
     /// steals, pipe resolution, multicast windows, sampled queue
     /// depths) into [`RunReport::trace`](crate::RunReport::trace).
@@ -199,9 +190,7 @@ impl DeltaConfig {
             policy: Policy::WorkAware,
             features: Features::all(),
             work_stealing: false,
-            idle_skip: true,
-            active_set: true,
-            tile_events: true,
+            engine: Engine::Event,
             trace: false,
             faults: FaultsConfig::none(),
             tenancy: TenancyConfig::none(),
@@ -499,22 +488,9 @@ impl DeltaConfigBuilder {
         self
     }
 
-    /// Simulator fast path: next-event jump over quiescent stretches.
-    pub fn idle_skip(mut self, on: bool) -> Self {
-        self.cfg.idle_skip = on;
-        self
-    }
-
-    /// Simulator fast path: tick only components reporting activity.
-    pub fn active_set(mut self, on: bool) -> Self {
-        self.cfg.active_set = on;
-        self
-    }
-
-    /// Simulator fast path: event-driven tile execution (closed-form
-    /// bulk advance between a tile's interesting cycles).
-    pub fn tile_events(mut self, on: bool) -> Self {
-        self.cfg.tile_events = on;
+    /// How the simulator advances time (see [`Engine`]).
+    pub fn engine(mut self, engine: Engine) -> Self {
+        self.cfg.engine = engine;
         self
     }
 

@@ -389,20 +389,7 @@ impl Tile {
         self.queue.is_empty()
     }
 
-    /// The tile's activity contract: a queued task needs dense ticking
-    /// (feed/fire/drain timing depends on budgets and backpressure,
-    /// none of it closed-form); an empty queue has no pending event at
-    /// all — [`on_msg`](Tile::on_msg) only touches queued-task state,
-    /// so only a dispatch or a steal can wake the tile.
-    pub(crate) fn activity(&self) -> Activity {
-        if self.queue.is_empty() {
-            Activity::Idle
-        } else {
-            Activity::Now
-        }
-    }
-
-    /// Event-driven refinement of [`activity`](Tile::activity): computes
+    /// The tile's activity contract under the event engine: computes
     /// the next cycle at which a [`tick`](Tile::tick) could do anything a
     /// [`bulk_advance`](Tile::bulk_advance) cannot reproduce in closed
     /// form.
@@ -810,7 +797,7 @@ impl Tile {
                     self.stats.bump("fire_stall_other");
                 }
                 // per-task attribution rides the exact same branch, so
-                // it stays identical across the scheduler fast paths
+                // it stays identical under either engine
                 // (bulk_advance applies the frozen-head equivalent)
                 let t = &mut self.queue[0];
                 if starved {

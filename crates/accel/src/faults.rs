@@ -25,8 +25,8 @@
 //!
 //! Every fault is a pure function of `(seed, site, time)`: the same
 //! seed yields the same schedule, the same recovery decisions, and a
-//! byte-identical [`FaultReport`] — whatever the scheduler fast paths
-//! in force. With every rate at zero the subsystem is inert and all
+//! byte-identical [`FaultReport`] — under either engine
+//! ([`Engine`](crate::Engine)). With every rate at zero the subsystem is inert and all
 //! reports are byte-identical to a build without it.
 
 /// Fault-injection knobs and the recovery policy, carried by
@@ -264,7 +264,7 @@ fn draw(parts: &[u64]) -> f64 {
 /// The per-run fault schedule: a set of pure functions of
 /// `(seed, site, time)` plus the precomputed fail-stop assignment.
 /// Queries never mutate, so any component may consult it at any cycle
-/// and all scheduler fast paths see identical faults.
+/// and both engines see identical faults.
 #[derive(Debug)]
 pub(crate) struct FaultSchedule {
     cfg: FaultsConfig,
@@ -391,7 +391,7 @@ impl FaultSchedule {
     }
 
     /// Tiles that fail-stopped within `cycles` — a pure enumeration, so
-    /// the count is identical whichever fast paths ran.
+    /// the count is identical under either engine.
     pub(crate) fn count_fail_stops(&self, cycles: u64) -> u64 {
         self.fail_at
             .iter()

@@ -82,7 +82,7 @@ mod trace;
 pub mod whatif;
 
 pub use accelerator::{Accelerator, RunError};
-pub use config::{DeltaConfig, DeltaConfigBuilder, Features};
+pub use config::{DeltaConfig, DeltaConfigBuilder, Engine, Features};
 pub use faults::{FaultReport, FaultsConfig};
 pub use report::{stretch_bucket, RunReport, SimProfile, STRETCH_BUCKETS, STRETCH_BUCKET_LABELS};
 pub use tenancy::{DrainPolicy, PartitionPolicy, TenancyConfig, TenantSpec};

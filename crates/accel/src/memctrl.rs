@@ -307,7 +307,7 @@ impl MemCtrl {
     /// Queue depths for trace sampling: `(admit, gated, backlog,
     /// dram_jobs, dram_inflight)`. Reads only state that is identical
     /// whether the controller is ticked densely or lazily, so sampled
-    /// values agree across scheduler fast paths.
+    /// values agree across engines.
     pub(crate) fn queue_depths(&self) -> (usize, usize, usize, usize, usize) {
         (
             self.admit.len(),

@@ -29,11 +29,12 @@ pub fn stretch_bucket(len: u64) -> usize {
 /// was actually ticked versus replayed in closed form, and how often it
 /// was woken from a skipped stretch. Simulator bookkeeping, not a
 /// modelled quantity — like [`RunReport::skipped_cycles`] it is kept
-/// out of [`RunReport::stats`] so reports stay bit-identical whichever
-/// scheduler fast paths are enabled. The invariant `ticks + skipped ==
-/// cycles` holds per component (tile counters additionally fold in
-/// `tile_bulk_cycles` and sum over all tiles, so theirs is
-/// `ticks + skipped + bulk == cycles × tiles`).
+/// out of [`RunReport::stats`] so reports stay bit-identical under
+/// either [`Engine`](crate::Engine) (the dense engine ticks everything
+/// and leaves every skip, wake, bulk and jump counter at zero). The
+/// invariant `ticks + skipped == cycles` holds per component (tile
+/// counters additionally fold in `tile_bulk_cycles` and sum over all
+/// tiles, so theirs is `ticks + skipped + bulk == cycles × tiles`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimProfile {
     /// Densely ticked tile-cycles, summed over all tiles.
@@ -41,13 +42,12 @@ pub struct SimProfile {
     /// Idle (empty-queue) tile-cycles replayed in closed form, summed
     /// over all tiles.
     pub tile_skipped: u64,
-    /// Blocked busy tile-cycles replayed in closed form by the
-    /// event-driven scheduler (`tile_events`), summed over all tiles.
+    /// Blocked busy tile-cycles replayed in closed form by the event
+    /// engine, summed over all tiles.
     pub tile_bulk_cycles: u64,
     /// Times a tile was woken out of a skipped stretch.
     pub tile_wakes: u64,
-    /// `Tile::next_event` evaluations performed by the event-driven
-    /// scheduler.
+    /// `Tile::next_event` evaluations performed by the event engine.
     pub tile_next_event_calls: u64,
     /// Densely ticked memory-controller cycles.
     pub mem_ticks: u64,
@@ -61,7 +61,7 @@ pub struct SimProfile {
     pub noc_skipped: u64,
     /// Times the mesh was woken out of a skipped stretch.
     pub noc_wakes: u64,
-    /// Cycles covered by whole-loop next-event jumps (`idle_skip`).
+    /// Cycles covered by whole-loop next-event jumps.
     pub jump_cycles: u64,
     /// Main-loop iterations actually executed (densely ticked cycles).
     pub loop_cycles: u64,
@@ -69,13 +69,16 @@ pub struct SimProfile {
     /// [`stretch_bucket`].
     pub jump_hist: [u64; STRETCH_BUCKETS],
     /// Histogram of per-tile replayed stretch lengths (idle skips and
-    /// bulk advances), bucketed by [`stretch_bucket`].
+    /// bulk advances), bucketed by [`stretch_bucket`]: one entry per
+    /// wake, plus one per tile settled at the end of the run.
     pub tile_stretch_hist: [u64; STRETCH_BUCKETS],
     /// Histogram of memory-controller replayed stretch lengths,
-    /// bucketed by [`stretch_bucket`].
+    /// bucketed by [`stretch_bucket`]: one entry per wake, plus one if
+    /// the controller is settled at the end of the run.
     pub mem_stretch_hist: [u64; STRETCH_BUCKETS],
     /// Histogram of mesh replayed stretch lengths, bucketed by
-    /// [`stretch_bucket`].
+    /// [`stretch_bucket`]: one entry per wake, plus one if the mesh is
+    /// settled at the end of the run.
     pub noc_stretch_hist: [u64; STRETCH_BUCKETS],
 }
 
@@ -135,10 +138,11 @@ pub struct RunReport {
     /// Sampled occupancy: `(cycle, busy tiles)` every
     /// [`RunReport::TIMELINE_STRIDE`] cycles.
     pub timeline: Vec<(u64, u32)>,
-    /// Cycles covered by the idle-skip fast path instead of dense
-    /// ticking. Simulator bookkeeping, not a modelled quantity — kept
-    /// out of [`RunReport::stats`] so reports are bit-identical whether
-    /// skipping is enabled or not.
+    /// Cycles covered by next-event jumps instead of dense ticking
+    /// (always zero under [`Engine::Dense`](crate::Engine::Dense)).
+    /// Simulator bookkeeping, not a modelled quantity — kept out of
+    /// [`RunReport::stats`] so reports are bit-identical under either
+    /// engine.
     pub skipped_cycles: u64,
     /// Per-component cycle attribution (ticked vs skipped vs woken).
     /// Simulator bookkeeping, excluded from equivalence comparisons.
@@ -146,8 +150,8 @@ pub struct RunReport {
     /// Structured event trace, empty unless `DeltaConfig::trace` was
     /// set. Observability output, not a modelled quantity — kept out of
     /// [`RunReport::stats`] so tracing never perturbs goldens. The
-    /// stream itself is identical across the `active_set × idle_skip`
-    /// fast-path combinations.
+    /// stream itself is identical under either
+    /// [`Engine`](crate::Engine).
     pub trace: Vec<TraceRecord>,
     /// Trace records evicted because the trace ring overflowed.
     pub trace_dropped: u64,
@@ -364,7 +368,7 @@ impl RunReport {
 
     /// Checks the run's conservation invariants: quantities that must
     /// balance at quiescence whatever the configuration, policy, or
-    /// scheduler fast paths in force.
+    /// engine.
     ///
     /// * every spawned task was dispatched and completed (host,
     ///   dispatcher, and tile counts all agree);

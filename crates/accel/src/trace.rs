@@ -8,19 +8,20 @@
 //! reports and goldens.
 //!
 //! The event stream is part of the simulator's equivalence contract:
-//! the four `active_set x idle_skip` fast-path combinations are proven
+//! the event and dense engines (`DeltaConfig::engine`) are proven
 //! timing-equivalent, and the trace they record must be identical too.
 //! Two rules keep that true:
 //!
 //! 1. *Semantic* events (task lifecycle, steals, pipe resolution,
 //!    multicast windows) are emitted only from code paths that execute
-//!    identically in all four modes — i.e. alongside an actual state
-//!    change, never from a "polled and found nothing" path that a
-//!    fast-forwarding mode would skip.
+//!    identically under both engines — i.e. alongside an actual state
+//!    change, never from a "polled and found nothing" path that the
+//!    event engine would skip.
 //! 2. *Sampled* events (queue depths, NoC link occupancy) fire only on
 //!    cycles that are a multiple of the report timeline stride, and the
-//!    idle-skip fast path backfills those sample points from the frozen
-//!    component state exactly as it backfills the utilization timeline.
+//!    event engine's next-event jump backfills those sample points from
+//!    the frozen component state exactly as it backfills the
+//!    utilization timeline.
 
 use std::collections::VecDeque;
 
@@ -157,7 +158,7 @@ pub enum TraceEvent {
     },
     /// Stride-sampled NoC link occupancy: depth of one router input
     /// queue. Emitted only when the depth is nonzero, so idle stretches
-    /// (which the fast paths skip) contribute no samples.
+    /// (which the event engine skips) contribute no samples.
     NocLink {
         /// Mesh node owning the queue.
         node: usize,

@@ -1,16 +1,16 @@
 //! Fault-injection contract tests: faults perturb *timing only* (every
 //! fault-enabled run still matches the plain reference semantics and
 //! the untimed oracle), the whole subsystem is a pure function of the
-//! seed (same seed → byte-identical `FaultReport`, whatever scheduler
-//! fast paths are in force), and with every rate at zero the subsystem
-//! is inert down to the last report byte.
+//! seed (same seed → byte-identical `FaultReport` under either
+//! engine), and with every rate at zero the subsystem is inert down to
+//! the last report byte.
 
 use proptest::prelude::*;
 use taskstream_model::{
     CompletedTask, MemoryImage, Program, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,
 };
 use ts_delta::oracle::{check_equivalence, execute_untimed};
-use ts_delta::{Accelerator, DeltaConfig, FaultReport, FaultsConfig, RunReport};
+use ts_delta::{Accelerator, DeltaConfig, Engine, FaultReport, FaultsConfig, RunReport};
 use ts_dfg::DfgBuilder;
 use ts_mem::WriteMode;
 use ts_stream::StreamDesc;
@@ -145,33 +145,14 @@ fn storm() -> FaultsConfig {
 fn same_seed_same_fault_report_across_scheduler_modes() {
     let mk = || Waves::new(vec![6, 5, 6], 32);
     let cfg = DeltaConfig::builder(4).faults(storm()).seed(11).build();
-    let dense = Accelerator::new(
-        cfg.clone()
-            .to_builder()
-            .active_set(false)
-            .idle_skip(false)
-            .build(),
-    )
-    .run(&mut mk())
-    .unwrap();
-    assert!(dense.faults.injected() > 0, "storm injected nothing");
-    for (active_set, idle_skip) in [(true, false), (false, true), (true, true)] {
-        let r = Accelerator::new(
-            cfg.clone()
-                .to_builder()
-                .active_set(active_set)
-                .idle_skip(idle_skip)
-                .build(),
-        )
+    let dense = Accelerator::new(cfg.clone().to_builder().engine(Engine::Dense).build())
         .run(&mut mk())
         .unwrap();
-        assert_eq!(r.cycles, dense.cycles);
-        assert_eq!(r.stats, dense.stats);
-        assert_eq!(
-            r.faults, dense.faults,
-            "fault report diverged (active_set={active_set}, idle_skip={idle_skip})"
-        );
-    }
+    assert!(dense.faults.injected() > 0, "storm injected nothing");
+    let event = Accelerator::new(cfg.clone()).run(&mut mk()).unwrap();
+    assert_eq!(event.cycles, dense.cycles);
+    assert_eq!(event.stats, dense.stats);
+    assert_eq!(event.faults, dense.faults, "fault report diverged");
     // And the trivial direction: the same exact config, twice.
     let again = Accelerator::new(cfg.clone()).run(&mut mk()).unwrap();
     let first = Accelerator::new(cfg).run(&mut mk()).unwrap();

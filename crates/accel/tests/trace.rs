@@ -1,13 +1,13 @@
 //! Trace-subsystem tests: recording must never perturb the simulated
-//! machine, and the recorded stream is part of the scheduler-mode
-//! equivalence contract — all four `active_set` × `idle_skip`
-//! combinations must record the *identical* event sequence.
+//! machine, and the recorded stream is part of the engine equivalence
+//! contract — the event and dense engines must record the *identical*
+//! event sequence.
 
 use proptest::prelude::*;
 use taskstream_model::{
     CompletedTask, MemoryImage, Program, Spawner, TaskInstance, TaskKernel, TaskType, TaskTypeId,
 };
-use ts_delta::{Accelerator, DeltaConfig, RunReport, TraceEvent};
+use ts_delta::{Accelerator, DeltaConfig, Engine, RunReport, TraceEvent};
 use ts_dfg::DfgBuilder;
 use ts_mem::WriteMode;
 use ts_stream::StreamDesc;
@@ -154,38 +154,27 @@ fn run_traced<P: Program>(mut program: P, cfg: DeltaConfig) -> RunReport {
     Accelerator::new(cfg).run(&mut program).unwrap()
 }
 
-/// Asserts the recorded stream is identical across all four
-/// `active_set` × `idle_skip` combinations.
+/// Asserts the recorded stream is identical under both engines.
 fn assert_trace_equal_across_modes<P, F>(make: F, cfg: DeltaConfig)
 where
     P: Program,
     F: Fn() -> P,
 {
-    let run = |active_set: bool, idle_skip: bool| {
+    let run = |engine: Engine| {
         run_traced(
             make(),
-            cfg.clone()
-                .to_builder()
-                .active_set(active_set)
-                .idle_skip(idle_skip)
-                .trace(true)
-                .build(),
+            cfg.clone().to_builder().engine(engine).trace(true).build(),
         )
     };
-    let dense = run(false, false);
+    let dense = run(Engine::Dense);
     assert!(
         !dense.trace.is_empty(),
         "traced run recorded nothing; the test is vacuous"
     );
-    for (active_set, idle_skip) in [(true, false), (false, true), (true, true)] {
-        let r = run(active_set, idle_skip);
-        assert_eq!(r.cycles, dense.cycles);
-        assert_eq!(
-            r.trace, dense.trace,
-            "trace diverged (active_set={active_set}, idle_skip={idle_skip})"
-        );
-        assert_eq!(r.trace_dropped, dense.trace_dropped);
-    }
+    let event = run(Engine::Event);
+    assert_eq!(event.cycles, dense.cycles);
+    assert_eq!(event.trace, dense.trace, "trace diverged");
+    assert_eq!(event.trace_dropped, dense.trace_dropped);
 }
 
 #[test]
@@ -285,8 +274,8 @@ fn trace_streams_match_across_modes_with_stealing() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random wave programs on random machine shapes: the four
-    /// scheduler-mode combinations must record identical streams.
+    /// Random wave programs on random machine shapes: both engines must
+    /// record identical streams.
     #[test]
     fn random_programs_trace_identically_across_scheduler_modes(
         widths in prop::collection::vec(1usize..5, 1..4),
@@ -302,24 +291,15 @@ proptest! {
             .work_stealing(work_stealing)
             .trace(true)
             .build();
-        let run = |active_set: bool, idle_skip: bool| {
-            Accelerator::new(
-                cfg.clone()
-                    .to_builder()
-                    .active_set(active_set)
-                    .idle_skip(idle_skip)
-                    .build(),
-            )
-            .run(&mut Waves::new(widths.clone(), stream_len, write_out))
-            .unwrap()
+        let run = |engine: Engine| {
+            Accelerator::new(cfg.clone().to_builder().engine(engine).build())
+                .run(&mut Waves::new(widths.clone(), stream_len, write_out))
+                .unwrap()
         };
-        let dense = run(false, false);
+        let dense = run(Engine::Dense);
         prop_assert!(!dense.trace.is_empty());
-        for (active_set, idle_skip) in [(true, false), (false, true), (true, true)] {
-            let r = run(active_set, idle_skip);
-            prop_assert_eq!(r.cycles, dense.cycles);
-            prop_assert_eq!(&r.trace, &dense.trace,
-                "trace diverged (active_set={}, idle_skip={})", active_set, idle_skip);
-        }
+        let event = run(Engine::Event);
+        prop_assert_eq!(event.cycles, dense.cycles);
+        prop_assert_eq!(&event.trace, &dense.trace, "trace diverged");
     }
 }

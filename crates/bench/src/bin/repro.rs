@@ -9,8 +9,7 @@
 //! repro sweep --profile          # also print per-experiment cycle attribution
 //! repro sweep --bench-json out.json  # also write machine-readable timings
 //! repro sweep --no-cache         # ignore the persistent result cache
-//! repro sweep --no-active-set    # disable active-set scheduling (A/B reference)
-//! repro sweep --no-idle-skip     # disable the next-event jump (A/B reference)
+//! repro sweep --dense            # run on the dense reference engine (A/B check)
 //! repro goldens check            # diff results against goldens/, exit 1 on drift
 //! repro goldens bless            # regenerate the committed goldens/ files
 //! repro cache stats              # show the result cache's location and size
@@ -21,10 +20,8 @@
 //! repro whatif fig_grain --speedup sum:25  # a specific virtual-speedup query
 //! ```
 //!
-//! The pre-subcommand spellings remain as hidden aliases: a bare
-//! `repro [experiment ...]` sweeps, and `--check-goldens`, `--bless`,
-//! and `--trace <experiment>` behave exactly as they used to. Unknown
-//! flags and unknown experiment ids exit with status 2.
+//! A missing or unknown command, an unknown flag and an unknown
+//! experiment id all exit with status 2 and print the usage.
 //!
 //! A sweep is **flattened**: every experiment is planned first, then
 //! every (experiment × grid-cell × fault-rate) simulation runs as one
@@ -45,8 +42,8 @@
 //!
 //! `--profile` reports, per experiment, how the simulator spent its
 //! cycles: the fraction of each component's cycles that were densely
-//! ticked versus replayed in closed form by active-set scheduling, and
-//! the fraction of machine cycles covered by next-event jumps. The
+//! ticked versus replayed in closed form by the event engine, and the
+//! fraction of machine cycles covered by next-event jumps. The
 //! same counters land in the `--bench-json` output.
 //!
 //! `goldens check` compares every experiment, cell by cell, against
@@ -116,21 +113,16 @@ common flags (sweep and goldens):
   --bench-json <path>    write machine-readable timings
   --out-dir <dir>        directory for report files (default: TS_OUT_DIR or .)
   --no-cache             ignore the persistent result cache
-  --no-active-set        disable active-set scheduling (A/B reference)
-  --no-idle-skip         disable the next-event jump (A/B reference)
-  --no-tile-events       disable event-driven tiles (A/B reference)
+  --dense                run on the dense reference engine (A/B check)
 
-`repro <command> --help` prints each command's usage. The
-pre-subcommand spellings still work: `repro [experiment ...] [flags]`
-with --check-goldens / --bless / --trace <experiment>.
+`repro <command> --help` prints each command's usage.
 
 experiments: omit to run all; known ids are listed in ts_bench::experiments::ALL";
 
 const SWEEP_USAGE: &str = "\
 usage: repro sweep [experiment ...] [--only <id>[,<id>...]] [--tiny]
                    [--jobs <n>] [--profile] [--bench-json <path>]
-                   [--no-cache] [--no-active-set] [--no-idle-skip]
-                   [--no-tile-events]
+                   [--no-cache] [--dense]
 
 Runs the named experiments (all of them when none are named) and
 prints their tables. All selected experiments share one flattened
@@ -140,8 +132,7 @@ work-stealing job pool and the persistent result cache (disable with
 const GOLDENS_USAGE: &str = "\
 usage: repro goldens <check|bless> [experiment ...] [--only <id>[,<id>...]]
                      [--tiny] [--jobs <n>] [--profile] [--bench-json <path>]
-                     [--no-cache] [--no-active-set] [--no-idle-skip]
-                     [--no-tile-events]
+                     [--no-cache] [--dense]
 
 check: re-runs the experiments and diffs them cell by cell against the
 committed goldens/<scale>/ snapshots plus the shape claims; violations
@@ -206,7 +197,7 @@ enum GoldenMode {
     Bless,
 }
 
-/// Flags shared by `sweep`, `goldens`, and the legacy spelling.
+/// Flags shared by `sweep` and `goldens`.
 #[derive(Default)]
 struct Common {
     tiny: bool,
@@ -214,9 +205,7 @@ struct Common {
     show_profile: bool,
     bench_json: Option<String>,
     no_cache: bool,
-    no_active_set: bool,
-    no_idle_skip: bool,
-    no_tile_events: bool,
+    dense: bool,
     out_dir: Option<String>,
 }
 
@@ -229,10 +218,10 @@ impl Common {
         }
     }
 
-    /// Applies the process-wide knobs (fast-path overrides, pool size,
+    /// Applies the process-wide knobs (engine override, pool size,
     /// result cache).
     fn apply(&self) {
-        ts_bench::disable_fast_paths(self.no_active_set, self.no_idle_skip, self.no_tile_events);
+        ts_bench::force_dense(self.dense);
         ts_bench::cache::set_enabled(!self.no_cache);
         if let Some(n) = self.jobs {
             rayon::ThreadPoolBuilder::new()
@@ -269,9 +258,7 @@ impl Common {
         match arg {
             "--tiny" => self.tiny = true,
             "--no-cache" => self.no_cache = true,
-            "--no-active-set" => self.no_active_set = true,
-            "--no-idle-skip" => self.no_idle_skip = true,
-            "--no-tile-events" => self.no_tile_events = true,
+            "--dense" => self.dense = true,
             "--profile" => self.show_profile = true,
             "--jobs" => {
                 let v = take_value(it, "--jobs", usage);
@@ -392,7 +379,8 @@ fn main() {
             cmd_whatif(args);
         }
         Some("help" | "--help" | "-h") => println!("{USAGE}"),
-        _ => legacy(args),
+        Some(other) => die(&format!("unknown command '{other}'"), USAGE),
+        None => die("missing command", USAGE),
     }
 }
 
@@ -581,40 +569,6 @@ fn cmd_whatif(args: Vec<String>) {
     }
     let ids = resolve_ids(&wanted, WHATIF_USAGE);
     run_whatif(&ids, &common, &speedups);
-}
-
-/// The pre-subcommand command line, kept verbatim as a hidden alias.
-fn legacy(args: Vec<String>) {
-    let mut common = Common::default();
-    let mut check_goldens = false;
-    let mut bless = false;
-    let mut trace: Option<String> = None;
-    let mut wanted: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if common.eat(&a, &mut it, USAGE) || eat_only(&a, &mut it, &mut wanted, USAGE) {
-            continue;
-        }
-        match a.as_str() {
-            "--check-goldens" => check_goldens = true,
-            "--bless" => bless = true,
-            "--trace" => trace = Some(take_value(&mut it, "--trace", USAGE)),
-            s if s.starts_with("--") => die(&format!("unknown flag '{s}'"), USAGE),
-            _ => wanted.push(a),
-        }
-    }
-    common.apply();
-    if let Some(id) = trace {
-        run_trace(&id, &common);
-        return;
-    }
-    let ids = resolve_ids(&wanted, USAGE);
-    let mode = match (check_goldens, bless) {
-        (_, true) => GoldenMode::Bless,
-        (true, false) => GoldenMode::Check,
-        (false, false) => GoldenMode::Off,
-    };
-    run_experiments(&ids, &common, mode);
 }
 
 /// Runs the selected experiments as **one flattened sweep** — every

@@ -18,7 +18,7 @@
 //!   they hand the accelerator the same program, so scale/seed/grain
 //!   parameters are captured without per-workload code;
 //! * the full `Debug` form of the [`DeltaConfig`] *after* the
-//!   process-wide fast-path forces are applied;
+//!   process-wide engine override is applied;
 //! * a code-version salt: an FNV-1a hash of the running executable's
 //!   bytes, so a rebuilt simulator never reads stale entries. Tests
 //!   and benchmarking override it via `TS_CACHE_SALT` when they *want*
@@ -275,7 +275,7 @@ pub(crate) fn program_fingerprint(wl: &dyn Workload, baseline: bool) -> u64 {
 }
 
 /// Computes the content-addressed key for one run. `cfg` must already
-/// have the process-wide fast-path forces applied (the runner passes
+/// have the process-wide engine override applied (the runner passes
 /// the exact config it will simulate with).
 pub fn key(wl: &dyn Workload, cfg: &DeltaConfig, baseline: bool, faulted: bool) -> String {
     key_with_salt(wl, cfg, baseline, faulted, exe_salt())

@@ -46,41 +46,31 @@ pub use table::Table;
 
 use rayon::prelude::*;
 use taskstream_model::Program;
-use ts_delta::{oracle, Accelerator, DeltaConfig, RunError, RunReport};
+use ts_delta::{oracle, Accelerator, DeltaConfig, Engine, RunError, RunReport};
 use ts_workloads::Workload;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Harness-wide scheduler fast-path overrides (set from `repro
-/// --no-active-set` / `--no-idle-skip`). Every run that goes through
-/// [`run_validated`] applies them to its config, so a whole sweep can
-/// be A/B-compared against dense ticking without touching the modelled
-/// presets. Reports are bit-identical either way — the flags exist to
-/// *measure* that and the wall-clock difference.
-static FORCE_NO_ACTIVE_SET: AtomicBool = AtomicBool::new(false);
-static FORCE_NO_IDLE_SKIP: AtomicBool = AtomicBool::new(false);
-static FORCE_NO_TILE_EVENTS: AtomicBool = AtomicBool::new(false);
+/// Harness-wide engine override (set from `repro --dense`). Every run
+/// that goes through [`run_validated`] applies it to its config, so a
+/// whole sweep can be A/B-compared against the dense reference engine
+/// without touching the modelled presets. Reports are bit-identical
+/// either way — the flag exists to *check* that and to measure the
+/// wall-clock difference.
+static FORCE_DENSE: AtomicBool = AtomicBool::new(false);
 
-/// Disables simulator fast paths for every subsequent run in this
-/// process (`active_set`, `idle_skip`, and/or `tile_events`).
-pub fn disable_fast_paths(active_set: bool, idle_skip: bool, tile_events: bool) {
-    FORCE_NO_ACTIVE_SET.store(active_set, Ordering::Relaxed);
-    FORCE_NO_IDLE_SKIP.store(idle_skip, Ordering::Relaxed);
-    FORCE_NO_TILE_EVENTS.store(tile_events, Ordering::Relaxed);
+/// Runs every subsequent simulation in this process on
+/// [`Engine::Dense`] when `dense` is set.
+pub fn force_dense(dense: bool) {
+    FORCE_DENSE.store(dense, Ordering::Relaxed);
 }
 
-/// Applies the process-wide fast-path overrides to one run's config.
+/// Applies the process-wide engine override to one run's config.
 fn apply_forces(cfg: &mut DeltaConfig) {
-    if FORCE_NO_ACTIVE_SET.load(Ordering::Relaxed) {
-        cfg.active_set = false;
-    }
-    if FORCE_NO_IDLE_SKIP.load(Ordering::Relaxed) {
-        cfg.idle_skip = false;
-    }
-    if FORCE_NO_TILE_EVENTS.load(Ordering::Relaxed) {
-        cfg.tile_events = false;
+    if FORCE_DENSE.load(Ordering::Relaxed) {
+        cfg.engine = Engine::Dense;
     }
 }
 
@@ -97,7 +87,7 @@ pub fn run_validated(wl: &dyn Workload, mut cfg: DeltaConfig, baseline_program: 
     run_validated_preforced(wl, cfg, baseline_program)
 }
 
-/// [`run_validated`] after the fast-path forces are already applied —
+/// [`run_validated`] after the engine override is already applied —
 /// the entry point the cache-aware sweep runner uses, so the config it
 /// hashes is byte-for-byte the config it simulates.
 fn run_validated_preforced(
@@ -172,7 +162,7 @@ pub fn run_faulted(
     run_faulted_preforced(wl, cfg, baseline_program)
 }
 
-/// [`run_faulted`] after the fast-path forces are already applied (see
+/// [`run_faulted`] after the engine override is already applied (see
 /// [`run_validated_preforced`]).
 fn run_faulted_preforced(
     wl: &dyn Workload,

@@ -1,9 +1,10 @@
 //! End-to-end tests of the `repro` command line: the subcommand
-//! spellings, the pre-subcommand spellings they alias, and the exit-2
-//! contract for unknown flags, ids, and malformed invocations.
+//! spellings, the `--dense` reference engine, and the exit-2 contract
+//! for unknown commands, flags, ids, and malformed invocations.
 //!
-//! Only simulation-free experiments (`tbl_config`, `tbl_area`) and one
-//! tiny fault run are exercised, so the suite stays fast in debug.
+//! Only simulation-free experiments (`tbl_config`, `tbl_area`) and a
+//! few tiny simulating runs are exercised, so the suite stays fast in
+//! debug.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -32,15 +33,6 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// The printed tables minus the wall-clock lines, which legitimately
-/// differ between two invocations.
-fn tables_only(text: &str) -> String {
-    text.lines()
-        .filter(|l| !l.trim_start().starts_with('('))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// A scratch working directory so runs that write report files
 /// (`FAULTS_*.txt`, `GOLDEN_diff.txt`) never litter the repo.
 fn scratch(tag: &str) -> PathBuf {
@@ -50,38 +42,29 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn sweep_subcommand_and_legacy_spelling_print_the_same_tables() {
-    let new = repro(&["sweep", "tbl_config", "--tiny"], None);
-    let old = repro(&["tbl_config", "--tiny"], None);
-    assert!(new.status.success(), "sweep failed: {}", stderr(&new));
-    assert!(old.status.success(), "legacy failed: {}", stderr(&old));
-    let new_out = stdout(&new);
+fn goldens_check_passes_on_the_committed_snapshots() {
+    let dir = scratch("goldens");
+    let out = repro(&["goldens", "check", "tbl_area", "--tiny"], Some(&dir));
     assert!(
-        new_out.contains("=== tbl_config ==="),
-        "no table: {new_out}"
+        out.status.success(),
+        "goldens check failed: {}",
+        stderr(&out)
     );
-    assert_eq!(tables_only(&new_out), tables_only(&stdout(&old)));
+    assert!(stderr(&out).contains("goldens OK"), "{}", stderr(&out));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn goldens_check_matches_the_legacy_check_goldens_flag() {
-    let dir = scratch("goldens");
-    let new = repro(&["goldens", "check", "tbl_area", "--tiny"], Some(&dir));
-    let old = repro(&["tbl_area", "--tiny", "--check-goldens"], Some(&dir));
-    assert!(
-        new.status.success(),
-        "goldens check failed: {}",
-        stderr(&new)
-    );
-    assert!(
-        old.status.success(),
-        "--check-goldens failed: {}",
-        stderr(&old)
-    );
-    for out in [&new, &old] {
-        assert!(stderr(out).contains("goldens OK"), "{}", stderr(out));
+fn dense_engine_prints_byte_identical_tables() {
+    let args = ["sweep", "--only", "fig_noc", "--tiny", "--no-cache"];
+    let event = repro(&args, None);
+    let dense = repro(&[&args[..], &["--dense"]].concat(), None);
+    for out in [&event, &dense] {
+        assert!(out.status.success(), "sweep failed: {}", stderr(out));
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    let text = stdout(&event);
+    assert!(text.contains("=== fig_noc ==="), "no table: {text}");
+    assert_eq!(text, stdout(&dense), "--dense changed the printed tables");
 }
 
 #[test]
@@ -193,6 +176,12 @@ fn malformed_invocations_exit_two_with_usage() {
         &["faults"],
         &["faults", "tbl_config", "--rate"],
         &["trace", "tbl_config", "tbl_area"],
+        &[],
+        &["tbl_config", "--tiny"],
+        &["tbl_area", "--tiny", "--check-goldens"],
+        &["--tiny", "--bless"],
+        &["--trace", "fig_noc", "--tiny"],
+        &["sweep", "--tiny", "--no-active-set"],
     ];
     for args in cases {
         let out = repro(args, None);

@@ -1,10 +1,9 @@
 //! Multi-tenant dispatcher guarantees, end to end:
 //!
-//! - **Mode equivalence** — tenancy composes with every `active_set` ×
-//!   `idle_skip` × `tile_events` scheduler mode bit-for-bit, over
-//!   random tenant mixes × arrival schedules × admission policies
-//!   (the per-tenant due queues add wake sources the activity
-//!   contracts must cover in every mode).
+//! - **Engine equivalence** — tenancy runs bit-for-bit the same under
+//!   the event engine as under the dense reference, over random tenant
+//!   mixes × arrival schedules × admission policies (the per-tenant
+//!   due queues add wake sources the activity contracts must cover).
 //! - **Fault determinism and oracle equivalence** — same-seed fault
 //!   schedules replay identically under tenancy, and faulted runs
 //!   stay functionally equivalent to the untimed oracle at every
@@ -16,7 +15,7 @@
 use proptest::prelude::*;
 use ts_bench::{run_faulted, run_validated, FaultOutcome};
 use ts_delta::{
-    DeltaConfig, DeltaConfigBuilder, DrainPolicy, FaultsConfig, PartitionPolicy, RunReport,
+    DeltaConfig, DeltaConfigBuilder, DrainPolicy, Engine, FaultsConfig, PartitionPolicy, RunReport,
 };
 use ts_workloads::request_server::{RequestServer, TenantLoad};
 
@@ -40,17 +39,9 @@ fn run_mode(
     base: &DeltaConfigBuilder,
     wl: &RequestServer,
     chaos: bool,
-    active_set: bool,
-    idle_skip: bool,
-    tile_events: bool,
+    engine: Engine,
 ) -> RunReport {
-    let cfg = base
-        .clone()
-        .active_set(active_set)
-        .idle_skip(idle_skip)
-        .tile_events(tile_events)
-        .build();
-    run_cfg(wl, cfg, chaos)
+    run_cfg(wl, base.clone().engine(engine).build(), chaos)
 }
 
 fn assert_tenants_served(r: &RunReport, wl: &RequestServer, what: &str) {
@@ -67,8 +58,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random tenant mixes × arrival schedules × admission policies ×
-    /// fault schedules: every scheduler mode combination must produce
-    /// the same report, bit for bit, as dense ticking.
+    /// fault schedules: the event engine must produce the same report,
+    /// bit for bit, as the dense reference.
     #[test]
     fn random_tenant_mixes_unaffected_by_scheduler_modes(
         loads in prop::collection::vec((1usize..8, 4usize..24, 0u64..300), 1..4),
@@ -110,28 +101,14 @@ proptest! {
                 })
                 .stall_limit(200_000);
         }
-        let reference = run_mode(&base, &wl, chaos, false, false, false);
+        let reference = run_mode(&base, &wl, chaos, Engine::Dense);
         assert_tenants_served(&reference, &wl, "dense reference");
-        for (active_set, idle_skip, tile_events) in [
-            (true, false, false),
-            (false, true, false),
-            (false, false, true),
-            (true, true, false),
-            (true, false, true),
-            (false, true, true),
-            (true, true, true),
-        ] {
-            let r = run_mode(&base, &wl, chaos, active_set, idle_skip, tile_events);
-            let what = format!(
-                "active_set={active_set}, idle_skip={idle_skip}, \
-                 tile_events={tile_events}, chaos={chaos}"
-            );
-            prop_assert_eq!(r.cycles, reference.cycles, "cycles diverged ({})", &what);
-            prop_assert_eq!(r.tasks_completed, reference.tasks_completed);
-            prop_assert_eq!(&r.stats, &reference.stats, "stats diverged ({})", &what);
-            prop_assert_eq!(&r.timeline, &reference.timeline);
-            prop_assert_eq!(&r.faults, &reference.faults, "faults diverged ({})", &what);
-        }
+        let r = run_mode(&base, &wl, chaos, Engine::Event);
+        prop_assert_eq!(r.cycles, reference.cycles, "cycles diverged (chaos={})", chaos);
+        prop_assert_eq!(r.tasks_completed, reference.tasks_completed);
+        prop_assert_eq!(&r.stats, &reference.stats, "stats diverged (chaos={})", chaos);
+        prop_assert_eq!(&r.timeline, &reference.timeline);
+        prop_assert_eq!(&r.faults, &reference.faults, "faults diverged (chaos={})", chaos);
     }
 }
 

@@ -3,16 +3,16 @@
 //! Every [`GraphSpec`] drawn here — linear pipelines of random depth,
 //! width and capacity, and reduction trees of random fanout — must
 //! compile, run on the timed simulator, satisfy the conservation
-//! invariants, and agree with the untimed oracle on final memory, in
-//! **every** combination of the scheduler's work-avoidance fast paths
-//! (active-set tracking × idle-skip × event-driven tiles). The fast
-//! paths are pure optimizations; a declarative program on which any
-//! combination changes the answer is a compiler or scheduler bug.
+//! invariants, and agree with the untimed oracle on final memory, under
+//! **both** simulator engines (the event engine and the dense
+//! reference). The event engine is a pure optimization; a declarative
+//! program on which the engines disagree is a compiler or scheduler
+//! bug.
 
 use proptest::prelude::*;
 use taskstream_model::{MemoryImage, TaskKernel};
 use ts_delta::oracle::{check_equivalence, execute_untimed};
-use ts_delta::{Accelerator, DeltaConfig};
+use ts_delta::{Accelerator, DeltaConfig, Engine};
 use ts_dfg::{Dfg, DfgBuilder};
 use ts_graph::{Emission, GraphSpec, Link, SpawnRule, Stage, TaskSketch};
 use ts_mem::WriteMode;
@@ -129,36 +129,25 @@ fn tree_spec(fanout: usize, depth: u32, seg_len: u64, cap: u64) -> GraphSpec {
     g
 }
 
-/// Runs one compiled spec under every fast-path combination and checks
-/// conservation plus oracle equivalence each time.
+/// Runs one compiled spec under both engines and checks conservation
+/// plus oracle equivalence each time.
 fn assert_all_modes_agree(
     spec_of: impl Fn() -> GraphSpec,
     tiles: usize,
 ) -> Result<(), proptest::TestCaseError> {
     let oracle = execute_untimed(&mut spec_of().compile().expect("spec is valid"))
         .expect("oracle completes");
-    for active_set in [false, true] {
-        for idle_skip in [false, true] {
-            for tile_events in [false, true] {
-                let cfg = DeltaConfig::builder(tiles)
-                    .active_set(active_set)
-                    .idle_skip(idle_skip)
-                    .tile_events(tile_events)
-                    .build();
-                let mut p = spec_of().compile().expect("spec is valid");
-                let timed = Accelerator::new(cfg).run(&mut p).expect("run completes");
-                let mode = format!(
-                    "active_set={active_set} idle_skip={idle_skip} tile_events={tile_events}"
-                );
-                prop_assert!(
-                    timed.check_conservation(tiles).is_ok(),
-                    "conservation under {mode}: {:?}",
-                    timed.check_conservation(tiles)
-                );
-                let eq = check_equivalence(&timed, &oracle);
-                prop_assert!(eq.is_ok(), "equivalence under {mode}: {eq:?}");
-            }
-        }
+    for engine in [Engine::Dense, Engine::Event] {
+        let cfg = DeltaConfig::builder(tiles).engine(engine).build();
+        let mut p = spec_of().compile().expect("spec is valid");
+        let timed = Accelerator::new(cfg).run(&mut p).expect("run completes");
+        prop_assert!(
+            timed.check_conservation(tiles).is_ok(),
+            "conservation under {engine:?}: {:?}",
+            timed.check_conservation(tiles)
+        );
+        let eq = check_equivalence(&timed, &oracle);
+        prop_assert!(eq.is_ok(), "equivalence under {engine:?}: {eq:?}");
     }
     Ok(())
 }

@@ -287,25 +287,12 @@ impl Dram {
         self.inflight.front().map(|(ready, _)| *ready)
     }
 
-    /// Fast-forwards `n` cycles with no work in flight. An idle tick's
-    /// only effect is the bandwidth refill (the admit and payout loops
-    /// run over empty queues), so this is exactly equivalent to `n`
-    /// [`tick`](Dram::tick) calls.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the DRAM really is idle.
-    pub fn skip_idle_cycles(&mut self, n: u64) {
-        debug_assert!(self.is_idle(), "skip with DRAM work in flight");
-        self.replay_idle_cycles(n);
-    }
-
     /// Replays `n` elapsed idle cycles for a lazily scheduled DRAM.
     /// The caller guarantees that over those `n` cycles there was no
     /// service work and no in-flight word came due — each tick would
-    /// only have refilled the bandwidth bucket — but unlike
-    /// [`skip_idle_cycles`](Dram::skip_idle_cycles) the DRAM may *now*
-    /// hold freshly submitted jobs or not-yet-due in-flight words.
+    /// only have refilled the bandwidth bucket (the admit and payout
+    /// loops run over empty queues) — but the DRAM may *now* hold
+    /// freshly submitted jobs or not-yet-due in-flight words.
     pub fn replay_idle_cycles(&mut self, n: u64) {
         self.bw.refill_n(n);
     }
