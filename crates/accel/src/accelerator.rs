@@ -21,6 +21,7 @@ use taskstream_model::{
 };
 use ts_cgra::{Fabric, KernelTiming, MapError};
 use ts_dfg::interp;
+use ts_mem::Storage;
 use ts_noc::Mesh;
 use ts_sim::stats::{Report, Stats};
 use ts_sim::{Activity, FxHashMap};
@@ -136,9 +137,22 @@ struct RunState {
     tiles: Vec<Tile>,
     mesh: Mesh<Msg>,
     memctrl: MemCtrl,
+    /// Functional DRAM contents. Tasks read and update it when they
+    /// dispatch; the memory controller and DRAM model timing only.
+    dram_image: Storage,
     pipes: PipeTable,
     picker: TilePicker,
     pending: VecDeque<PendingTask>,
+    /// Set whenever something a dispatch scan reads may have changed:
+    /// the pending window (admission), pipe readiness, tile queue
+    /// occupancy or the picker's load (dispatch, completion, steal), or
+    /// down-tile windows (every cycle with a fault schedule). A scan
+    /// that places nothing mutates nothing (the picker is pure on
+    /// `None`), so while the flag stays clear a rescan would fail the
+    /// same way and is skipped. Spawning needs no re-arm of its own: a
+    /// pipe is declared no later than the tasks using it, and those
+    /// reach the window through admission.
+    dispatch_dirty: bool,
     admit_q: VecDeque<(u64, PendingTask)>,
     host_q: VecDeque<(u64, CompletedTask)>,
     /// Tile of every dispatched task.
@@ -322,10 +336,11 @@ impl RunState {
             .words
             .max((spill_base + SPILL_RESERVE + 4096) as usize);
         let mc_nodes: Vec<usize> = (0..cfg.mem_ctrls).map(|m| cfg.mc_node(m)).collect();
-        let mut memctrl = MemCtrl::new(dram_cfg, mc_nodes, cfg.mesh_dims().0);
+        let mut dram_image = Storage::new(dram_cfg.words);
         for (base, words) in &image.dram {
-            memctrl.dram_mut().storage_mut().load(*base, words);
+            dram_image.load(*base, words);
         }
+        let mut memctrl = MemCtrl::new(dram_cfg, mc_nodes, cfg.mesh_dims().0);
 
         let mut tiles: Vec<Tile> = (0..cfg.tiles)
             .map(|t| Tile::new(t, cfg.tile_node(t), cfg))
@@ -346,7 +361,7 @@ impl RunState {
             .is_active()
             .then(|| FaultSchedule::new(&cfg.faults, cfg.seed, cfg.tiles));
         if cfg.faults.dram_retry_rate > 0.0 {
-            memctrl.dram_mut().set_fault_injection(
+            memctrl.set_fault_injection(
                 cfg.faults.dram_retry_rate,
                 cfg.faults.dram_retry_cycles,
                 cfg.seed,
@@ -360,9 +375,11 @@ impl RunState {
             tiles,
             mesh,
             memctrl,
+            dram_image,
             pipes,
             picker,
             pending: VecDeque::new(),
+            dispatch_dirty: true,
             admit_q: VecDeque::new(),
             host_q: VecDeque::new(),
             task_tile: FxHashMap::default(),
@@ -551,6 +568,7 @@ impl RunState {
                 self.trace
                     .emit(self.now, TraceEvent::TaskReady { task: p.id.0 });
                 self.pending.push_back(p);
+                self.dispatch_dirty = true;
             }
         }
     }
@@ -573,6 +591,7 @@ impl RunState {
             self.trace
                 .emit(self.now, TraceEvent::TaskReady { task: p.id.0 });
             self.pending.push_back(p);
+            self.dispatch_dirty = true;
         }
     }
 
@@ -681,15 +700,18 @@ impl RunState {
                     self.trace
                         .emit(self.now, TraceEvent::TaskReady { task: p.id.0 });
                     self.pending.push_back(p);
+                    self.dispatch_dirty = true;
                 }
             }
 
             // fault bookkeeping: fail-stop transitions, the recovery
             // watchdog, and due victim re-dispatches — before the
             // dispatch scan so a freshly drained tile can take new work
-            // this very cycle
+            // this very cycle. Down-tile windows open and close with
+            // time alone, so an armed schedule rescans every cycle.
             if self.fsched.is_some() {
                 self.fault_step()?;
+                self.dispatch_dirty = true;
             }
 
             // with nothing pending, a dispatch cycle is a pure no-op
@@ -733,16 +755,11 @@ impl RunState {
                     while let Some(msg) = self.mesh.eject(node) {
                         match msg {
                             Msg::DramWrite {
-                                addr,
-                                value,
-                                mode,
                                 stream,
                                 reply_to,
                                 last,
                                 gather,
-                            } => self
-                                .memctrl
-                                .on_write_flit(addr, value, mode, stream, reply_to, last, gather),
+                            } => self.memctrl.on_write_flit(stream, reply_to, last, gather),
                             other => unreachable!("unexpected message at controller: {other:?}"),
                         }
                     }
@@ -1162,6 +1179,9 @@ impl RunState {
     }
 
     fn finish_task(&mut self, done: TaskExec) {
+        // frees queue space, lowers the picker's load and completes
+        // producers; under tenancy it may also release held tasks
+        self.dispatch_dirty = true;
         self.tasks_completed += 1;
         self.last_progress = self.now;
         // the finished exec is owned here, so the completion record
@@ -1335,13 +1355,13 @@ impl RunState {
         if let Some(fs) = &self.fsched {
             self.freport.tile_fail_stops = fs.count_fail_stops(self.now);
             self.freport.tile_stalls = fs.count_stalls(self.now);
-            self.freport.dram_retries = self.memctrl.dram().fault_retries();
+            self.freport.dram_retries = self.memctrl.fault_retries();
         }
         RunReport::new(
             self.now,
             report,
-            // moved, not cloned: nothing reads the DRAM after the report
-            self.memctrl.dram_mut().take_storage(),
+            // moved, not cloned: nothing reads the image after the report
+            std::mem::replace(&mut self.dram_image, Storage::new(0)),
             self.tasks_completed,
             std::mem::take(&mut self.timeline),
             self.skipped_cycles,
@@ -1668,35 +1688,23 @@ impl RunState {
             feeds.push(feed);
         }
 
-        // sinks: identical shape to the original dispatch; addresses
-        // are recomputed for metering only — the functional writes
-        // landed when the task first dispatched
+        // sinks: identical shape to the original dispatch — the
+        // functional writes landed when the task first dispatched
         let mut sinks: Vec<Sink> = Vec::with_capacity(inst.outputs.len());
         for (port, binding) in inst.outputs.iter().enumerate() {
             let total = out_values[port].len() as u64;
             let kind = match binding {
                 OutputBinding::Discard => SinkKind::Discard,
-                OutputBinding::Memory { desc, mode } => match desc_src(desc) {
+                OutputBinding::Memory { desc, .. } => match desc_src(desc) {
                     DataSrc::Spad => SinkKind::Spad,
                     DataSrc::Dram => SinkKind::DramWrite {
-                        addrs: self.write_addrs(desc, out_values[port].len(), tile)?,
-                        mode: *mode,
                         gather: desc.is_indirect(),
                         mc_node: self.cfg.mc_node_for(tile_node),
                     },
                 },
-                OutputBinding::Scatter {
-                    src,
-                    base,
-                    scale,
-                    addr_port,
-                    mode,
-                } => SinkKind::Scatter {
+                OutputBinding::Scatter { src, addr_port, .. } => SinkKind::Scatter {
                     addr_port: *addr_port,
                     to_dram: *src == DataSrc::Dram,
-                    base: *base,
-                    scale: *scale,
-                    mode: *mode,
                     mc_node: self.cfg.mc_node_for(tile_node),
                 },
                 OutputBinding::Pipe(pp) => SinkKind::Pipe { pipe: *pp },
@@ -1748,6 +1756,12 @@ impl RunState {
     // ------------------------------------------------------------ dispatch
 
     fn dispatch_cycle(&mut self) -> Result<(), RunError> {
+        if !self.dispatch_dirty {
+            #[cfg(debug_assertions)]
+            self.assert_nothing_placeable();
+            return Ok(());
+        }
+        self.dispatch_dirty = false;
         // nothing can dispatch when no tile has queue space and none is
         // idle (sources need space, co-scheduled consumers need an idle
         // tile) — skip the window scans entirely; with full queues this
@@ -1803,6 +1817,27 @@ impl RunState {
             }
         }
         Ok(())
+    }
+
+    /// The dirty-bit safety net: a skipped scan claims that no ready
+    /// window candidate can be placed, so check that against the picker
+    /// directly.
+    #[cfg(debug_assertions)]
+    fn assert_nothing_placeable(&self) {
+        let window = self.cfg.dispatch_window.min(self.pending.len());
+        for p in self.pending.iter().take(window) {
+            if !is_ready(&p.inst, &self.pipes, self.cfg.features.pipelining) {
+                continue;
+            }
+            let mut mask = Vec::new();
+            self.fill_mask(&p.inst, &mut mask);
+            assert!(
+                !self.picker.can_place(&p.inst, &mask),
+                "dispatch scan skipped at cycle {} while task {:?} was placeable",
+                self.now,
+                p.id
+            );
+        }
     }
 
     /// Extension: one steal per cycle — the emptiest idle tile takes an
@@ -1868,6 +1903,7 @@ impl RunState {
             },
         );
         self.stats.bump("steals");
+        self.dispatch_dirty = true;
         // steals land after the tile-tick step, so the thief's current
         // cycle already counted as idle: catch it up through `now`
         // inclusive before it takes the task
@@ -1875,28 +1911,29 @@ impl RunState {
         self.tiles[thief].enqueue(exec);
     }
 
-    /// Fills the reusable placement mask: tiles with queue space, or —
-    /// for consumers whose producers are still live — tiles with
-    /// nothing queued (they must run *concurrently* with their
-    /// producers to pipeline, not queue behind other work). `part`
-    /// restricts candidates to the task's tenant partition under
+    /// Fills `mask` with the tiles `inst` may be placed on: tiles with
+    /// queue space, or — for consumers whose producers are still live —
+    /// tiles with nothing queued (they must run *concurrently* with
+    /// their producers to pipeline, not queue behind other work).
+    /// Candidates are restricted to the task's tenant partition under
     /// spatial tenancy (the full fabric otherwise).
-    fn fill_mask(&mut self, idle_only: bool, part: std::ops::Range<usize>) {
-        self.mask_scratch.clear();
+    fn fill_mask(&self, inst: &TaskInstance, mask: &mut Vec<bool>) {
+        let idle_only = self.has_live_pipe_dep(inst);
+        let part = self.partition_of(inst);
+        mask.clear();
         // under recovery the dispatcher routes around down tiles; the
         // no-recovery baseline keeps placing onto them (and wedges) —
         // that asymmetry is exactly the fault experiment's comparison
         let fs = self.fsched.as_ref().filter(|f| f.recovery());
         let now = self.now;
-        self.mask_scratch
-            .extend(self.tiles.iter().enumerate().map(|(t, tile)| {
-                let fits = if idle_only {
-                    tile.is_idle()
-                } else {
-                    tile.queue_space(&self.cfg) > 0
-                };
-                fits && part.contains(&t) && !fs.is_some_and(|f| f.tile_down(t, now))
-            }));
+        mask.extend(self.tiles.iter().enumerate().map(|(t, tile)| {
+            let fits = if idle_only {
+                tile.is_idle()
+            } else {
+                tile.queue_space(&self.cfg) > 0
+            };
+            fits && part.contains(&t) && !fs.is_some_and(|f| f.tile_down(t, now))
+        }));
     }
 
     /// True when the task consumes a pipe whose producer has dispatched
@@ -1911,13 +1948,11 @@ impl RunState {
     /// Dispatches the pending task at `pos`; returns false when no tile
     /// can take it.
     fn dispatch_one_at(&mut self, pos: usize) -> Result<bool, RunError> {
-        let idle_only = self.has_live_pipe_dep(&self.pending[pos].inst);
-        let part = self.partition_of(&self.pending[pos].inst);
-        self.fill_mask(idle_only, part);
-        let Some(tile) = self
-            .picker
-            .pick(&self.pending[pos].inst, &self.mask_scratch)
-        else {
+        let mut mask = std::mem::take(&mut self.mask_scratch);
+        self.fill_mask(&self.pending[pos].inst, &mut mask);
+        let picked = self.picker.pick(&self.pending[pos].inst, &mask);
+        self.mask_scratch = mask;
+        let Some(tile) = picked else {
             return Ok(false);
         };
         let p = self.pending.remove(pos).expect("index in range");
@@ -2154,27 +2189,16 @@ impl RunState {
             let total = out_values[port].len() as u64;
             let kind = match binding {
                 OutputBinding::Discard => SinkKind::Discard,
-                OutputBinding::Memory { desc, mode } => match desc_src(desc) {
+                OutputBinding::Memory { desc, .. } => match desc_src(desc) {
                     DataSrc::Spad => SinkKind::Spad,
                     DataSrc::Dram => SinkKind::DramWrite {
-                        addrs: self.write_addrs(desc, out_values[port].len(), tile)?,
-                        mode: *mode,
                         gather: desc.is_indirect(),
                         mc_node: self.cfg.mc_node_for(tile_node),
                     },
                 },
-                OutputBinding::Scatter {
-                    src,
-                    base,
-                    scale,
-                    addr_port,
-                    mode,
-                } => SinkKind::Scatter {
+                OutputBinding::Scatter { src, addr_port, .. } => SinkKind::Scatter {
                     addr_port: *addr_port,
                     to_dram: *src == DataSrc::Dram,
-                    base: *base,
-                    scale: *scale,
-                    mode: *mode,
                     mc_node: self.cfg.mc_node_for(tile_node),
                 },
                 OutputBinding::Pipe(pp) => SinkKind::Pipe { pipe: *pp },
@@ -2226,6 +2250,7 @@ impl RunState {
         self.tiles[tile].enqueue(exec);
         self.task_tile.insert(id, tile);
         self.picker.on_dispatch(tile, work);
+        self.dispatch_dirty = true;
         self.trace
             .emit(self.now, TraceEvent::TaskDispatch { task: id.0, tile });
         self.stats.bump("tasks_dispatched");
@@ -2347,7 +2372,7 @@ impl RunState {
 
     fn read_mem(&self, src: DataSrc, addr: Addr, tile: usize) -> Value {
         match src {
-            DataSrc::Dram => self.memctrl.dram().storage().read(addr),
+            DataSrc::Dram => self.dram_image.read(addr),
             DataSrc::Spad => self.tiles[tile].spad.storage().read(addr),
         }
     }
@@ -2361,11 +2386,7 @@ impl RunState {
         tile: usize,
     ) {
         match src {
-            DataSrc::Dram => self
-                .memctrl
-                .dram_mut()
-                .storage_mut()
-                .update(addr, value, mode),
+            DataSrc::Dram => self.dram_image.update(addr, value, mode),
             DataSrc::Spad => self.tiles[tile]
                 .spad
                 .storage_mut()
@@ -2449,5 +2470,78 @@ fn desc_src(desc: &StreamDesc) -> DataSrc {
     match desc {
         StreamDesc::Affine { src, .. } | StreamDesc::Indirect { src, .. } => *src,
         _ => DataSrc::Dram,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use taskstream_model::{MemoryImage, Policy, TaskTypeId};
+    use ts_dfg::DfgBuilder;
+
+    /// Three owner-computes tasks for tile 0, folding DRAM streams.
+    struct ThreeForTileZero;
+
+    impl Program for ThreeForTileZero {
+        fn name(&self) -> &str {
+            "three_for_tile_zero"
+        }
+
+        fn task_types(&self) -> Vec<TaskType> {
+            let mut b = DfgBuilder::new("fold");
+            let x = b.input();
+            let s = b.acc(x);
+            b.output_on_last(s);
+            vec![TaskType::new("fold", TaskKernel::dfg(b.finish().unwrap()))]
+        }
+
+        fn memory_image(&self) -> MemoryImage {
+            MemoryImage::new().dram_segment(0, vec![1; 64])
+        }
+
+        fn initial(&mut self, s: &mut Spawner) {
+            for len in [64, 32, 8] {
+                s.spawn(
+                    TaskInstance::new(TaskTypeId(0))
+                        .input_stream(StreamDesc::dram(0, len))
+                        .output_discard()
+                        .affinity(0),
+                );
+            }
+        }
+
+        fn on_complete(&mut self, _done: &CompletedTask, _s: &mut Spawner) {}
+    }
+
+    #[test]
+    fn steal_rearms_the_dispatch_scan() {
+        // In the main loop a steal always shares its cycle with the
+        // dispatch that grew the victim's queue, so the steal's own
+        // re-arm is checked here, directly on the run state.
+        let mut features = crate::Features::all();
+        features.work_aware = false;
+        let cfg = DeltaConfig::builder(2)
+            .features(features)
+            .policy(Policy::StaticHash)
+            .tile_queue(2)
+            .prefetch_depth(1)
+            .work_stealing(true)
+            .build();
+        let mut st = RunState::build(&cfg, &mut ThreeForTileZero).unwrap();
+        st.pending.extend(st.admit_q.drain(..).map(|(_, p)| p));
+        st.dispatch_cycle().unwrap();
+        assert_eq!(st.pending.len(), 1, "tile 0's queue takes two tasks");
+        // a rescan changes nothing: the owner's queue is full
+        st.dispatch_cycle().unwrap();
+        assert!(!st.dispatch_dirty);
+        // steals run after the tile step, which brings every tile
+        // through the current cycle
+        st.tile_synced.fill(st.now + 1);
+        st.steal_cycle();
+        assert_eq!(st.stats.counter("steals"), 1);
+        assert!(st.dispatch_dirty, "the steal freed a slot on tile 0");
+        st.now += 1;
+        st.dispatch_cycle().unwrap();
+        assert!(st.pending.is_empty());
     }
 }

@@ -26,7 +26,7 @@ use crate::trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
 use taskstream_model::{PipeId, TaskId, TaskInstance, TaskTypeId, Value};
 use ts_cgra::KernelTiming;
-use ts_mem::{Spad, WriteMode};
+use ts_mem::Spad;
 use ts_noc::Mesh;
 use ts_sim::stats::Stats;
 use ts_sim::{Activity, FxHashMap, TokenBucket};
@@ -105,13 +105,11 @@ pub(crate) enum SinkKind {
     /// Budgeted scratchpad writes (functional effect already applied at
     /// dispatch).
     Spad,
-    /// DRAM write stream: one flit per word to a controller node.
+    /// DRAM write stream: one flit per word to a controller node. The
+    /// words' functional effect was applied at dispatch; the flits meter
+    /// traffic and DRAM bandwidth only, so they carry no address or
+    /// value.
     DramWrite {
-        /// Per-word addresses, in emission order.
-        addrs: Vec<Addr>,
-        /// Write mode (affects DRAM gather cost only; functional effect
-        /// already applied).
-        mode: WriteMode,
         /// Random-access pattern flag.
         gather: bool,
         /// Destination controller node.
@@ -124,12 +122,6 @@ pub(crate) enum SinkKind {
         addr_port: usize,
         /// Scatter into DRAM (true) or the local scratchpad (false).
         to_dram: bool,
-        /// Base address.
-        base: Addr,
-        /// Index multiplier.
-        scale: i64,
-        /// Write mode (gather cost on DRAM).
-        mode: WriteMode,
         /// Destination controller node (DRAM scatters).
         mc_node: usize,
     },
@@ -1113,18 +1105,9 @@ impl Tile {
                             false
                         }
                     }
-                    SinkKind::DramWrite {
-                        addrs,
-                        mode,
-                        gather,
-                        mc_node,
-                    } => {
-                        if let Some(&v) = t.out_buf[p].front() {
-                            let i = t.sinks[p].sent as usize;
+                    SinkKind::DramWrite { gather, mc_node } => {
+                        if !t.out_buf[p].is_empty() {
                             let msg = Msg::DramWrite {
-                                addr: addrs[i],
-                                value: v,
-                                mode: *mode,
                                 stream: (t.id, p),
                                 reply_to: node,
                                 last: t.sinks[p].sent + 1 == t.sinks[p].total,
@@ -1144,24 +1127,14 @@ impl Tile {
                     SinkKind::Scatter {
                         addr_port,
                         to_dram,
-                        base,
-                        scale,
-                        mode,
                         mc_node,
                     } => {
-                        let (ap, to_dram, base, scale, mode, mc_node) =
-                            (*addr_port, *to_dram, *base, *scale, *mode, *mc_node);
+                        let (ap, to_dram, mc_node) = (*addr_port, *to_dram, *mc_node);
                         if t.out_buf[p].is_empty() || t.out_buf[ap].is_empty() {
                             false
                         } else {
-                            let idx = *t.out_buf[ap].front().expect("checked");
-                            let v = *t.out_buf[p].front().expect("checked");
-                            let addr = (base as i64 + idx.wrapping_mul(scale)) as Addr;
                             let ok = if to_dram {
                                 let msg = Msg::DramWrite {
-                                    addr,
-                                    value: v,
-                                    mode,
                                     stream: (t.id, p),
                                     reply_to: node,
                                     last: t.sinks[p].sent + 1 == t.sinks[p].total,
@@ -1230,12 +1203,9 @@ impl Tile {
                                     }
                                 }
                             }
-                            Some(PipeMode::Spill { base }) => {
-                                if let Some(&v) = t.out_buf[p].front() {
+                            Some(PipeMode::Spill { .. }) => {
+                                if !t.out_buf[p].is_empty() {
                                     let msg = Msg::DramWrite {
-                                        addr: base + t.sinks[p].sent,
-                                        value: v,
-                                        mode: WriteMode::Overwrite,
                                         stream: (t.id, p),
                                         reply_to: node,
                                         last: t.sinks[p].sent + 1 == t.sinks[p].total,

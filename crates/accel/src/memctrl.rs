@@ -2,17 +2,19 @@
 
 use crate::msg::{Msg, StreamKey};
 use std::collections::VecDeque;
-use ts_mem::{Dram, DramConfig, JobKind, WriteMode};
+use ts_mem::{Dram, DramConfig, DramOut, JobKind};
 use ts_noc::Mesh;
 use ts_sim::{Activity, FxHashMap, FxHashSet};
-use ts_stream::{Addr, Value};
+use ts_stream::Addr;
 
 /// A DRAM read request as the dispatcher/stream engines see it.
 #[derive(Debug, Clone)]
 pub(crate) struct ReadReq {
     /// Globally unique read-job id (assigned by the accelerator).
     pub job: u64,
-    /// Addresses, in delivery order.
+    /// Addresses, in delivery order. Only their count reaches the DRAM
+    /// timing model; the addresses themselves feed the first-touch
+    /// (`read_words_unique`) accounting at submission.
     pub addrs: Vec<Addr>,
     /// Random-access pattern (pays gather cost).
     pub gather: bool,
@@ -25,6 +27,23 @@ pub(crate) struct ReadReq {
     pub after: Option<u64>,
 }
 
+/// A read job between submission and the DRAM: its shape only.
+#[derive(Debug)]
+struct QueuedRead {
+    job: u64,
+    words: u64,
+    gather: bool,
+    after: Option<u64>,
+}
+
+/// Where a read job's data goes: the injecting controller (an index
+/// into the controller list) and the destination mesh nodes.
+#[derive(Debug)]
+struct Route {
+    ctrl: usize,
+    dsts: Vec<usize>,
+}
+
 #[derive(Debug)]
 struct WriteTrack {
     outstanding: u64,
@@ -32,12 +51,16 @@ struct WriteTrack {
     reply_to: usize,
 }
 
+/// Words one [`Msg::DramData`] flit carries at most (links are several
+/// words wide; controllers coalesce up to a burst per flit).
+const FLIT_WORDS: u16 = 8;
+
 /// All memory controllers plus the DRAM they front.
 ///
 /// Read jobs are admitted after a control-path latency, served by the
 /// shared [`Dram`], and their response words injected as [`Msg::DramData`]
 /// flits from the controller node the job was assigned to (round-robin).
-/// Write words arrive as flits, are applied at DRAM bandwidth, and are
+/// Write words arrive as flits, are metered at DRAM bandwidth, and are
 /// acknowledged per stream.
 #[derive(Debug)]
 pub(crate) struct MemCtrl {
@@ -45,13 +68,12 @@ pub(crate) struct MemCtrl {
     mc_nodes: Vec<usize>,
     mesh_width: usize,
     /// Requests waiting out their control latency: `(ready_at, req)`.
-    admit: VecDeque<(u64, ReadReq)>,
+    admit: VecDeque<(u64, QueuedRead)>,
     /// Requests admitted but gated on `after` jobs.
-    gated: Vec<ReadReq>,
-    /// Read job → destination mesh nodes.
-    job_dsts: FxHashMap<u64, Vec<usize>>,
-    /// Read job → injecting controller node.
-    job_node: FxHashMap<u64, usize>,
+    gated: Vec<QueuedRead>,
+    /// Read job → injecting controller and destinations, until the job's
+    /// last word is staged.
+    routes: FxHashMap<u64, Route>,
     /// Read jobs fully served (for `after` gating).
     done_jobs: FxHashSet<u64>,
     /// Write bookkeeping per stream.
@@ -59,12 +81,24 @@ pub(crate) struct MemCtrl {
     /// Write-job tag → (stream, word was last).
     wtags: FxHashMap<u64, (StreamKey, bool)>,
     next_wtag: u64,
-    /// Responses waiting for injection: per controller node.
-    backlog: FxHashMap<usize, VecDeque<(Vec<usize>, Msg)>>,
-    /// Total staged responses across all controller nodes (O(1)
-    /// idleness checks; burst coalescing mutates entries in place and
-    /// leaves the count unchanged).
+    /// Responses waiting for injection, per controller (indexed like
+    /// `mc_nodes`).
+    backlog: Vec<VecDeque<(Vec<usize>, Msg)>>,
+    /// Total staged responses across all controllers (O(1) idleness
+    /// checks; burst coalescing mutates entries in place and leaves the
+    /// count unchanged).
     backlog_len: usize,
+    /// DRAM output runs, reused across ticks so the hot loop does not
+    /// allocate.
+    outs: Vec<DramOut>,
+    /// Bit per DRAM word: addresses named by at least one read job, for
+    /// the `read_words_unique` counter. The conservation invariant
+    /// `read_words >= read_words_unique` and the multicast traffic
+    /// claims both lean on distinguishing total from first-touch reads.
+    /// Every submitted word is served before the run quiesces, so
+    /// counting at submission gives the served-time value.
+    seen_reads: Vec<u64>,
+    read_words_unique: u64,
     rr: usize,
 }
 
@@ -76,50 +110,72 @@ impl MemCtrl {
         assert!(!mc_nodes.is_empty(), "need at least one controller node");
         assert!(mesh_width > 0, "mesh width must be positive");
         MemCtrl {
+            seen_reads: vec![0u64; dram_cfg.words.div_ceil(64)],
             dram: Dram::new(dram_cfg),
+            backlog: (0..mc_nodes.len()).map(|_| VecDeque::new()).collect(),
             mc_nodes,
             mesh_width,
             admit: VecDeque::new(),
             gated: Vec::new(),
-            job_dsts: FxHashMap::default(),
-            job_node: FxHashMap::default(),
+            routes: FxHashMap::default(),
             done_jobs: FxHashSet::default(),
             writes: FxHashMap::default(),
             wtags: FxHashMap::default(),
             next_wtag: 0,
-            backlog: FxHashMap::default(),
             backlog_len: 0,
+            outs: Vec::new(),
+            read_words_unique: 0,
             rr: 0,
         }
     }
 
-    /// Functional access to DRAM contents.
-    pub(crate) fn dram(&self) -> &Dram {
-        &self.dram
+    /// Arms the DRAM's deterministic transient-error injection.
+    pub(crate) fn set_fault_injection(&mut self, rate: f64, retry_cycles: u64, seed: u64) {
+        self.dram.set_fault_injection(rate, retry_cycles, seed);
     }
 
-    /// Mutable functional access to DRAM contents.
-    pub(crate) fn dram_mut(&mut self) -> &mut Dram {
-        &mut self.dram
+    /// Words that took a detected DRAM error retry so far.
+    pub(crate) fn fault_retries(&self) -> u64 {
+        self.dram.fault_retries()
     }
 
     /// Queues a read request; it reaches the DRAM after the control
     /// latency (`ready_at`).
     pub(crate) fn submit_read(&mut self, req: ReadReq, ready_at: u64) {
         assert!(!req.addrs.is_empty(), "read request must cover >= 1 word");
-        self.job_dsts.insert(req.job, req.dsts.clone());
+        for &a in &req.addrs {
+            let (slot, bit) = ((a / 64) as usize, 1u64 << (a % 64));
+            if self.seen_reads[slot] & bit == 0 {
+                self.seen_reads[slot] |= bit;
+                self.read_words_unique += 1;
+            }
+        }
         // responses inject from the controller in the destination's
         // mesh column (column-affine homing keeps traffic contention-
         // free); phantom and multicast jobs round-robin
-        let node = match req.dsts.as_slice() {
-            [single] => self.mc_nodes[(single % self.mesh_width) % self.mc_nodes.len()],
+        let ctrl = match req.dsts.as_slice() {
+            [single] => (single % self.mesh_width) % self.mc_nodes.len(),
             _ => {
                 self.rr += 1;
-                self.mc_nodes[(self.rr - 1) % self.mc_nodes.len()]
+                (self.rr - 1) % self.mc_nodes.len()
             }
         };
-        self.job_node.insert(req.job, node);
-        self.admit.push_back((ready_at, req));
+        self.routes.insert(
+            req.job,
+            Route {
+                ctrl,
+                dsts: req.dsts,
+            },
+        );
+        self.admit.push_back((
+            ready_at,
+            QueuedRead {
+                job: req.job,
+                words: req.addrs.len() as u64,
+                gather: req.gather,
+                after: req.after,
+            },
+        ));
     }
 
     /// Adds a destination to a read job that has not yet reached the
@@ -127,17 +183,12 @@ impl MemCtrl {
     /// batching window). Returns false once the job is already being
     /// served.
     pub(crate) fn try_join(&mut self, job: u64, node: usize) -> bool {
-        let in_admit = self.admit.iter_mut().find(|(_, r)| r.job == job);
-        let in_gated = self.gated.iter_mut().find(|r| r.job == job);
-        let req = match (in_admit, in_gated) {
-            (Some((_, r)), _) => r,
-            (None, Some(r)) => r,
-            (None, None) => return false,
-        };
-        if !req.dsts.contains(&node) {
-            req.dsts.push(node);
+        let waiting =
+            self.admit.iter().any(|(_, r)| r.job == job) || self.gated.iter().any(|r| r.job == job);
+        if !waiting {
+            return false;
         }
-        let dsts = self.job_dsts.get_mut(&job).expect("job registered");
+        let dsts = &mut self.routes.get_mut(&job).expect("job registered").dsts;
         if !dsts.contains(&node) {
             dsts.push(node);
         }
@@ -150,13 +201,11 @@ impl MemCtrl {
         self.done_jobs.contains(&job)
     }
 
-    /// Handles a write flit delivered to a controller node.
-    #[allow(clippy::too_many_arguments)] // mirrors the flit's fields
+    /// Handles a write flit delivered to a controller node. The word's
+    /// functional effect was applied at dispatch; the DRAM meters its
+    /// bandwidth and latency only.
     pub(crate) fn on_write_flit(
         &mut self,
-        addr: Addr,
-        value: Value,
-        mode: WriteMode,
         stream: StreamKey,
         reply_to: usize,
         last: bool,
@@ -173,18 +222,7 @@ impl MemCtrl {
         self.next_wtag += 1;
         self.wtags.insert(tag, (stream, last));
         self.dram
-            .submit(
-                JobKind::Write {
-                    addrs: vec![addr],
-                    data: vec![value],
-                    gather,
-                    mode,
-                    // the functional effect was applied at dispatch;
-                    // this job meters bandwidth and latency only
-                    apply: false,
-                },
-                tag,
-            )
+            .submit(JobKind::Write { words: 1, gather }, tag)
             .expect("single-word write job is never empty");
     }
 
@@ -199,91 +237,102 @@ impl MemCtrl {
             let (_, req) = self.admit.pop_front().expect("front exists");
             self.gated.push(req);
         }
-        // release gated requests whose prerequisite job completed
-        let mut still_gated = Vec::new();
-        for req in self.gated.drain(..) {
-            let ok = match req.after {
-                None => true,
-                Some(j) => self.done_jobs.contains(&j),
-            };
-            if ok {
-                self.dram
-                    .submit(
-                        JobKind::Read {
-                            addrs: req.addrs,
-                            gather: req.gather,
-                        },
-                        req.job,
-                    )
-                    .expect("read request validated non-empty");
-            } else {
-                still_gated.push(req);
+        // release gated requests whose prerequisite job completed, in
+        // admission order
+        let (dram, done_jobs) = (&mut self.dram, &self.done_jobs);
+        self.gated.retain(|req| {
+            if req.after.is_some_and(|j| !done_jobs.contains(&j)) {
+                return true;
             }
-        }
-        self.gated = still_gated;
+            dram.submit(
+                JobKind::Read {
+                    words: req.words,
+                    gather: req.gather,
+                },
+                req.job,
+            )
+            .expect("read request validated non-empty");
+            false
+        });
 
         // advance DRAM and stage outputs
-        for out in self.dram.tick(now) {
-            if out.tag & WRITE_TAG != 0 {
-                let (stream, was_last) = self.wtags.remove(&out.tag).expect("write tag known");
-                let track = self.writes.get_mut(&stream).expect("stream tracked");
-                track.outstanding -= 1;
-                track.saw_last |= was_last;
-                if track.saw_last && track.outstanding == 0 {
-                    let reply = track.reply_to;
-                    self.writes.remove(&stream);
-                    // ack injected from the controller handling this stream
-                    let node = self.mc_nodes[(stream.0 .0 as usize) % self.mc_nodes.len()];
-                    self.backlog
-                        .entry(node)
-                        .or_default()
-                        .push_back((vec![reply], Msg::WriteAck { stream }));
-                    self.backlog_len += 1;
-                }
+        let mut outs = std::mem::take(&mut self.outs);
+        self.dram.tick(now, &mut outs);
+        for out in outs.drain(..) {
+            if out.is_write_ack {
+                self.on_write_ack(out.tag);
             } else {
-                if out.last {
-                    self.done_jobs.insert(out.tag);
-                }
-                let dsts = self.job_dsts.get(&out.tag).expect("read job known");
-                if dsts.is_empty() {
-                    continue; // phantom job: traffic counted, data dropped
-                }
-                const BURST: u16 = 8;
-                let node = *self.job_node.get(&out.tag).expect("job node known");
-                let q = self.backlog.entry(node).or_default();
-                match q.back_mut() {
-                    Some((prev_dsts, Msg::DramData { job, words, last }))
-                        if *job == out.tag && *words < BURST && prev_dsts == dsts =>
-                    {
-                        *words += 1;
-                        *last |= out.last;
-                    }
-                    _ => {
-                        q.push_back((
-                            dsts.clone(),
-                            Msg::DramData {
-                                job: out.tag,
-                                words: 1,
-                                last: out.last,
-                            },
-                        ));
-                        self.backlog_len += 1;
-                    }
-                }
+                self.stage_read_run(&out);
             }
         }
+        self.outs = outs;
 
         // inject staged responses, bounded by each node's queue space
-        for &node in &self.mc_nodes {
-            if let Some(q) = self.backlog.get_mut(&node) {
-                while let Some((dsts, msg)) = q.front() {
-                    if mesh.inject(node, dsts, msg.clone()).is_err() {
-                        break;
-                    }
-                    q.pop_front();
-                    self.backlog_len -= 1;
+        for (q, &node) in self.backlog.iter_mut().zip(&self.mc_nodes) {
+            while !q.is_empty() && mesh.inject_space(node) > 0 {
+                let (dsts, msg) = q.pop_front().expect("nonempty");
+                if mesh.inject(node, &dsts, msg).is_err() {
+                    unreachable!("injection space was checked");
+                }
+                self.backlog_len -= 1;
+            }
+        }
+    }
+
+    /// Retires one metered write word; the stream's ack is staged once
+    /// its last word has been seen and every word has landed.
+    fn on_write_ack(&mut self, tag: u64) {
+        debug_assert!(tag & WRITE_TAG != 0, "write acks carry write tags");
+        let (stream, was_last) = self.wtags.remove(&tag).expect("write tag known");
+        let track = self.writes.get_mut(&stream).expect("stream tracked");
+        track.outstanding -= 1;
+        track.saw_last |= was_last;
+        if track.saw_last && track.outstanding == 0 {
+            let reply = track.reply_to;
+            self.writes.remove(&stream);
+            // ack injected from the controller handling this stream
+            let ctrl = (stream.0 .0 as usize) % self.mc_nodes.len();
+            self.backlog[ctrl].push_back((vec![reply], Msg::WriteAck { stream }));
+            self.backlog_len += 1;
+        }
+    }
+
+    /// Stages a run of read words as [`Msg::DramData`] flits of at most
+    /// [`FLIT_WORDS`] words, topping up the newest staged flit of the
+    /// same job first — exactly the flits word-by-word coalescing
+    /// builds. `last` rides on the flit holding the job's final word.
+    fn stage_read_run(&mut self, out: &DramOut) {
+        let route = self.routes.get(&out.tag).expect("read job known");
+        // a phantom job (no destinations) has its traffic counted and
+        // its data dropped
+        if !route.dsts.is_empty() {
+            let q = &mut self.backlog[route.ctrl];
+            let mut left = out.words;
+            if let Some((_, Msg::DramData { job, words, last })) = q.back_mut() {
+                if *job == out.tag && *words < FLIT_WORDS {
+                    let take = left.min(u64::from(FLIT_WORDS - *words));
+                    *words += take as u16;
+                    left -= take;
+                    *last |= out.last && left == 0;
                 }
             }
+            while left > 0 {
+                let take = left.min(u64::from(FLIT_WORDS));
+                left -= take;
+                q.push_back((
+                    route.dsts.clone(),
+                    Msg::DramData {
+                        job: out.tag,
+                        words: take as u16,
+                        last: out.last && left == 0,
+                    },
+                ));
+                self.backlog_len += 1;
+            }
+        }
+        if out.last {
+            self.done_jobs.insert(out.tag);
+            self.routes.remove(&out.tag);
         }
     }
 
@@ -297,8 +346,9 @@ impl MemCtrl {
                 .map(|r| (r.job, r.after))
                 .collect::<Vec<_>>(),
             self.dram.pending_jobs(),
-            self.backlog
+            self.mc_nodes
                 .iter()
+                .zip(&self.backlog)
                 .map(|(n, q)| (*n, q.len()))
                 .collect::<Vec<_>>(),
         )
@@ -322,7 +372,7 @@ impl MemCtrl {
     pub(crate) fn is_idle(&self) -> bool {
         debug_assert_eq!(
             self.backlog_len == 0,
-            self.backlog.values().all(|q| q.is_empty()),
+            self.backlog.iter().all(VecDeque::is_empty),
             "backlog counter diverged from backlog contents"
         );
         self.admit.is_empty()
@@ -355,10 +405,14 @@ impl MemCtrl {
         at
     }
 
-    /// DRAM statistics scope (materialized from the DRAM's integer
-    /// counters).
+    /// DRAM statistics scope: the DRAM's traffic counters plus the
+    /// first-touch read count kept here.
     pub(crate) fn dram_stats(&self) -> ts_sim::stats::Stats {
-        self.dram.stats()
+        let mut s = self.dram.stats();
+        if self.read_words_unique > 0 {
+            s.bump_by("read_words_unique", self.read_words_unique);
+        }
+        s
     }
 
     /// Replays `n` elapsed idle cycles. The caller guarantees the
@@ -412,7 +466,6 @@ mod tests {
     #[test]
     fn read_job_delivers_words_to_tile() {
         let (mut mc, mut mesh) = mk();
-        mc.dram_mut().storage_mut().load(0, &[1, 2, 3]);
         mc.submit_read(
             ReadReq {
                 job: 7,
@@ -533,15 +586,7 @@ mod tests {
         let (mut mc, mut mesh) = mk();
         let stream: StreamKey = (TaskId(5), 0);
         for i in 0..4u64 {
-            mc.on_write_flit(
-                i,
-                (i * 10) as i64,
-                WriteMode::Overwrite,
-                stream,
-                1,
-                i == 3,
-                false,
-            );
+            mc.on_write_flit(stream, 1, i == 3, false);
         }
         let got = run(&mut mc, &mut mesh, 100);
         let acks: Vec<_> = got
@@ -549,10 +594,59 @@ mod tests {
             .filter(|(n, m)| *n == 1 && matches!(m, Msg::WriteAck { .. }))
             .collect();
         assert_eq!(acks.len(), 1);
-        // write flits meter timing only; the functional effect happened
-        // at dispatch, so storage is untouched here
-        assert_eq!(mc.dram().storage().read(3), 0);
         assert_eq!(mc.dram_stats().counter("write_words"), 4);
         assert!(mc.is_idle());
+    }
+
+    #[test]
+    fn served_runs_split_into_eight_word_flits() {
+        // 16 words per cycle in 16-word bursts: a 20-word job leaves the
+        // DRAM as runs of 16 and 4, which stage as flits of 8, 8 and 4
+        let cfg = DramConfig {
+            words: 1024,
+            words_per_cycle: 16.0,
+            latency: 5,
+            gather_cost: 4,
+            max_active_jobs: 8,
+            burst_words: 16,
+        };
+        let (mut mc, mut mesh) = (MemCtrl::new(cfg, vec![2, 3], 2), Mesh::new(2, 2, 8));
+        mc.submit_read(
+            ReadReq {
+                job: 3,
+                addrs: (0..20).collect(),
+                gather: false,
+                dsts: vec![1],
+                after: None,
+            },
+            0,
+        );
+        let flits: Vec<(u16, bool)> = run(&mut mc, &mut mesh, 60)
+            .into_iter()
+            .map(|(node, m)| match m {
+                Msg::DramData { words, last, .. } if node == 1 => (words, last),
+                other => panic!("unexpected {other:?} at node {node}"),
+            })
+            .collect();
+        assert_eq!(flits, vec![(8, false), (8, false), (4, true)]);
+    }
+
+    #[test]
+    fn unique_reads_count_first_touch_at_submission() {
+        let (mut mc, mut mesh) = mk();
+        mc.submit_read(
+            ReadReq {
+                job: 4,
+                addrs: vec![1, 2, 1, 2, 3],
+                gather: false,
+                dsts: vec![],
+                after: None,
+            },
+            0,
+        );
+        assert_eq!(mc.dram_stats().counter("read_words_unique"), 3);
+        run(&mut mc, &mut mesh, 50);
+        assert_eq!(mc.dram_stats().counter("read_words"), 5);
+        assert_eq!(mc.dram_stats().counter("read_words_unique"), 3);
     }
 }

@@ -1,8 +1,6 @@
 //! NoC message payloads.
 
 use taskstream_model::{PipeId, TaskId};
-use ts_mem::WriteMode;
-use ts_stream::{Addr, Value};
 
 /// Identifies one write stream: `(task, output port)`.
 pub(crate) type StreamKey = (TaskId, usize);
@@ -15,8 +13,8 @@ pub(crate) type StreamKey = (TaskId, usize);
 /// the mesh.
 #[derive(Debug, Clone)]
 pub(crate) enum Msg {
-    /// One word of DRAM read data for read job `job` (multicast to every
-    /// sharing tile).
+    /// DRAM read data for read job `job` (multicast to every sharing
+    /// tile).
     DramData {
         /// Read job id.
         job: u64,
@@ -26,14 +24,10 @@ pub(crate) enum Msg {
         /// True on the job's final word.
         last: bool,
     },
-    /// One word of a DRAM write stream, tile → memory controller.
+    /// One word of a DRAM write stream, tile → memory controller. The
+    /// word's functional effect was applied at dispatch, so the flit
+    /// carries no address or value: it meters traffic and bandwidth.
     DramWrite {
-        /// Destination address.
-        addr: Addr,
-        /// Value to store.
-        value: Value,
-        /// Store or read-modify-write.
-        mode: WriteMode,
         /// Which write stream this word belongs to.
         stream: StreamKey,
         /// Source tile mesh node (for the ack).

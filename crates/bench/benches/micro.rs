@@ -1,14 +1,20 @@
 //! Criterion microbenchmarks of the simulator's hot substrates: the
-//! DFG interpreter, the CGRA mapper, the NoC, the DRAM model, and a
-//! full tiny accelerator run.
+//! DFG interpreter, the CGRA mapper, the NoC, the DRAM timing model,
+//! the DRAM → memory controller → mesh read path, and a full tiny
+//! accelerator run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use taskstream_model::{
+    CompletedTask, MemoryImage, Program, RegionId, Spawner, TaskInstance, TaskKernel, TaskType,
+    TaskTypeId,
+};
 use ts_cgra::{Fabric, FabricConfig};
 use ts_delta::{Accelerator, DeltaConfig};
 use ts_dfg::{interp, DfgBuilder};
 use ts_mem::{Dram, DramConfig, JobKind};
 use ts_noc::Mesh;
+use ts_stream::StreamDesc;
 use ts_workloads::{spmv::Spmv, Workload};
 
 fn dfg_interpreter(c: &mut Criterion) {
@@ -78,18 +84,75 @@ fn dram_streaming(c: &mut Criterion) {
             });
             d.submit(
                 JobKind::Read {
-                    addrs: (0..4096).collect(),
+                    words: 4096,
                     gather: false,
                 },
                 0,
             )
             .unwrap();
+            let mut out = Vec::new();
             let mut now = 0;
             while !d.is_idle() {
-                black_box(d.tick(now));
+                d.tick(now, &mut out);
+                black_box(&out);
+                out.clear();
                 now += 1;
             }
             now
+        })
+    });
+}
+
+/// `width` tasks that each read the same `len`-word DRAM region as a
+/// shared (multicast) input and fold it to one word: the DRAM serves
+/// every word once and the memory controller stages the bursts as
+/// multicast flits, so the DRAM → controller → mesh path does the work.
+struct SharedStream {
+    width: u64,
+    len: u64,
+}
+
+impl Program for SharedStream {
+    fn name(&self) -> &str {
+        "shared_stream"
+    }
+
+    fn task_types(&self) -> Vec<TaskType> {
+        let mut b = DfgBuilder::new("fold");
+        let x = b.input();
+        let s = b.acc(x);
+        b.output_on_last(s);
+        vec![TaskType::new("fold", TaskKernel::dfg(b.finish().unwrap()))]
+    }
+
+    fn memory_image(&self) -> MemoryImage {
+        MemoryImage::new().dram_segment(0, (0..self.len as i64).collect::<Vec<_>>())
+    }
+
+    fn initial(&mut self, s: &mut Spawner) {
+        for i in 0..self.width {
+            s.spawn(
+                TaskInstance::new(TaskTypeId(0))
+                    .input_shared(StreamDesc::dram(0, self.len), RegionId(0))
+                    .output_discard()
+                    .affinity(i),
+            );
+        }
+    }
+
+    fn on_complete(&mut self, _done: &CompletedTask, _s: &mut Spawner) {}
+}
+
+fn memctrl_mesh_bursts(c: &mut Criterion) {
+    c.bench_function("memctrl_mesh_multicast_8x4k", |bench| {
+        bench.iter(|| {
+            Accelerator::new(DeltaConfig::delta(8))
+                .run(&mut SharedStream {
+                    width: 8,
+                    len: 4096,
+                })
+                .unwrap()
+                .cycles
         })
     });
 }
@@ -110,6 +173,7 @@ fn full_run(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20);
-    targets = dfg_interpreter, cgra_mapper, noc_saturation, dram_streaming, full_run
+    targets = dfg_interpreter, cgra_mapper, noc_saturation, dram_streaming, memctrl_mesh_bursts,
+        full_run
 );
 criterion_main!(micro);

@@ -140,6 +140,21 @@ impl TilePicker {
         }
     }
 
+    /// True when [`pick`](Self::pick) would place `task` under
+    /// `has_space`. Pure: draws no randomness and moves no round-robin
+    /// cursor, so callers may ask without perturbing later picks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `has_space.len() != n_tiles`.
+    pub fn can_place(&self, task: &TaskInstance, has_space: &[bool]) -> bool {
+        assert_eq!(has_space.len(), self.n_tiles, "mask size mismatch");
+        match self.policy {
+            Policy::StaticHash => has_space[(task.affinity % self.n_tiles as u64) as usize],
+            _ => has_space.contains(&true),
+        }
+    }
+
     /// Records that `hint` units of estimated work were placed on a tile.
     pub fn on_dispatch(&mut self, tile: usize, hint: u64) {
         self.outstanding[tile] += hint;
@@ -224,6 +239,21 @@ mod tests {
         for _ in 0..50 {
             let t = p.pick(&task(1, 0), &[false, true, false, true]).unwrap();
             assert!(t == 1 || t == 3);
+        }
+    }
+
+    #[test]
+    fn can_place_agrees_with_pick_for_every_policy() {
+        for policy in Policy::ALL {
+            for bits in 0u32..16 {
+                let mask: Vec<bool> = (0..4).map(|t| bits & (1 << t) != 0).collect();
+                for affinity in 0..4 {
+                    let mut p = TilePicker::new(policy, 4, 7);
+                    let t = task(3, affinity);
+                    let can = p.can_place(&t, &mask);
+                    assert_eq!(can, p.pick(&t, &mask).is_some(), "{policy:?} {mask:?}");
+                }
+            }
         }
     }
 

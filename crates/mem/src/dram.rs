@@ -1,7 +1,5 @@
-//! Bandwidth- and latency-modelled DRAM.
+//! Bandwidth- and latency-modelled DRAM timing.
 
-use crate::storage::Storage;
-use crate::{Addr, Value};
 use std::collections::VecDeque;
 use ts_sim::stats::Stats;
 use ts_sim::TokenBucket;
@@ -12,7 +10,9 @@ pub type JobId = u64;
 /// Configuration of the DRAM model.
 #[derive(Debug, Clone)]
 pub struct DramConfig {
-    /// Capacity in words.
+    /// Capacity in words. The timing model holds no data; this sizes
+    /// the functional image and the first-touch read bitmap the
+    /// simulator keeps beside it.
     pub words: usize,
     /// Streaming bandwidth, in words per cycle (shared by reads and
     /// writes).
@@ -44,57 +44,56 @@ impl Default for DramConfig {
     }
 }
 
-/// One DRAM request: a read of an address list or a write of
-/// address/value pairs.
-#[derive(Debug, Clone)]
+/// One DRAM request, described by shape and volume only: how many
+/// words move and whether the pattern is random. Addresses and values
+/// never reach the timing model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
-    /// Read each address in order; one [`DramOut`] per word.
+    /// Read `words` words; outputs cover them in delivery order.
     Read {
-        /// Addresses to read, in delivery order.
-        addrs: Vec<Addr>,
+        /// Words to read.
+        words: u64,
         /// True if the access pattern is random (pays `gather_cost`).
         gather: bool,
     },
-    /// Write each (address, value) pair; a single [`DramOut`] with
-    /// `is_write_ack` is produced when the last word lands.
+    /// Write `words` words; a single [`DramOut`] with `is_write_ack`
+    /// is produced when the last word lands.
     Write {
-        /// Addresses to write.
-        addrs: Vec<Addr>,
-        /// Values, parallel to `addrs`.
-        data: Vec<Value>,
+        /// Words to write.
+        words: u64,
         /// True if the pattern is random (pays `gather_cost`).
         gather: bool,
-        /// Read-modify-write mode.
-        mode: crate::WriteMode,
-        /// Apply the write to the backing store. `false` meters timing
-        /// and traffic only — used when the functional effect was already
-        /// applied at a deterministic serialization point.
-        apply: bool,
     },
 }
 
 impl JobKind {
-    fn words(&self) -> usize {
+    fn words(self) -> u64 {
         match self {
-            JobKind::Read { addrs, .. } => addrs.len(),
-            JobKind::Write { addrs, .. } => addrs.len(),
+            JobKind::Read { words, .. } | JobKind::Write { words, .. } => words,
+        }
+    }
+
+    fn gather(self) -> bool {
+        match self {
+            JobKind::Read { gather, .. } | JobKind::Write { gather, .. } => gather,
         }
     }
 }
 
-/// One word (or write acknowledgement) leaving the DRAM after its
-/// latency has elapsed.
+/// A run of consecutive words of one job leaving the DRAM together
+/// after their latency has elapsed, or one write acknowledgement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DramOut {
     /// The job that produced this output.
     pub job: JobId,
     /// The opaque tag the submitter attached to the job.
     pub tag: u64,
-    /// Word index within the job (0-based, delivery order).
+    /// Index of the run's first word within the job (0-based, delivery
+    /// order); a write ack names the job's final word.
     pub index: u64,
-    /// Word value (zero for write acks).
-    pub value: Value,
-    /// True on the final output of a job.
+    /// Consecutive words in the run (1 for a write ack).
+    pub words: u64,
+    /// True when the run holds the job's final word.
     pub last: bool,
     /// True if this is a write completion rather than read data.
     pub is_write_ack: bool,
@@ -105,36 +104,32 @@ struct ActiveJob {
     id: JobId,
     tag: u64,
     kind: JobKind,
-    next_word: usize,
+    next_word: u64,
 }
 
-/// The DRAM model: functional storage plus a bandwidth/latency pipe.
+/// The DRAM timing model: a bandwidth/latency pipe over word counts.
 ///
 /// Jobs are admitted FIFO into a bounded active set that is served
 /// round-robin, one word per bandwidth token (gathers cost
 /// [`DramConfig::gather_cost`] tokens). Each served word emerges from
-/// [`Dram::tick`] after [`DramConfig::latency`] cycles.
+/// [`Dram::tick`] after [`DramConfig::latency`] cycles; consecutive
+/// words of one job that come due on the same cycle emerge as one
+/// [`DramOut`] run.
 #[derive(Debug)]
 pub struct Dram {
     config: DramConfig,
-    storage: Storage,
     bw: TokenBucket,
     waiting: VecDeque<ActiveJob>,
     active: VecDeque<ActiveJob>,
-    /// (ready_cycle, out) in issue order. With fault injection off the
+    /// (ready_cycle, run) in issue order. With fault injection off the
     /// constant latency keeps this sorted; a retried word may be due
     /// *later* than words issued after it, in which case the
     /// front-gated release below holds those back too — modelling an
     /// in-order return channel blocked behind the retry.
     inflight: VecDeque<(u64, DramOut)>,
+    /// Words (and write acks) across `inflight`.
+    inflight_words: usize,
     next_job: JobId,
-    /// Bit per word: addresses read at least once, for the
-    /// `read_words_unique` counter. The conservation invariant
-    /// `read_words >= read_words_unique` and the multicast traffic
-    /// claims both lean on distinguishing total from first-touch reads.
-    /// A flat bitmap (addresses are bounded by capacity) keeps the
-    /// first-touch test off the hot path's hash machinery.
-    seen_reads: Vec<u64>,
     /// Per-served-word probability of a detected transient error; the
     /// word is retried, adding `fault_retry` cycles to its latency.
     fault_rate: f64,
@@ -144,14 +139,11 @@ pub struct Dram {
     /// for fault injection (serve order is itself deterministic).
     fault_served: u64,
     fault_retries: u64,
-    /// Traffic counters kept as plain integers — served words are the
-    /// hottest loop in the memory system, so the generic [`Stats`]
-    /// scope is materialized on demand (see [`Dram::stats`]) instead of
-    /// bumped per word.
+    /// Traffic counters kept as plain integers; the generic [`Stats`]
+    /// scope is materialized on demand (see [`Dram::stats`]).
     jobs: u64,
     job_words: u64,
     read_words: u64,
-    read_words_unique: u64,
     write_words: u64,
 }
 
@@ -177,13 +169,12 @@ impl Dram {
             config.words_per_cycle.max(config.gather_cost as f64) + 1.0,
         );
         Dram {
-            storage: Storage::new(config.words),
             bw,
             waiting: VecDeque::new(),
             active: VecDeque::new(),
             inflight: VecDeque::new(),
+            inflight_words: 0,
             next_job: 0,
-            seen_reads: vec![0u64; config.words.div_ceil(64)],
             fault_rate: 0.0,
             fault_retry: 0,
             fault_seed: 0,
@@ -192,7 +183,6 @@ impl Dram {
             jobs: 0,
             job_words: 0,
             read_words: 0,
-            read_words_unique: 0,
             write_words: 0,
             config,
         }
@@ -214,25 +204,6 @@ impl Dram {
         self.fault_retries
     }
 
-    /// Functional access to the backing store (for loading images and
-    /// validating results).
-    pub fn storage(&self) -> &Storage {
-        &self.storage
-    }
-
-    /// Mutable functional access to the backing store.
-    pub fn storage_mut(&mut self) -> &mut Storage {
-        &mut self.storage
-    }
-
-    /// Moves the backing store out, leaving an empty one behind. Used
-    /// when the final report takes ownership of memory contents — the
-    /// store can be tens of MiB, and the DRAM is dropped right after,
-    /// so a clone would be pure memcpy waste.
-    pub fn take_storage(&mut self) -> Storage {
-        std::mem::replace(&mut self.storage, Storage::new(0))
-    }
-
     /// Submits a job with an opaque `tag` the submitter uses to route
     /// outputs. Returns the job id.
     ///
@@ -247,7 +218,7 @@ impl Dram {
         let id = self.next_job;
         self.next_job += 1;
         self.jobs += 1;
-        self.job_words += kind.words() as u64;
+        self.job_words += kind.words();
         self.waiting.push_back(ActiveJob {
             id,
             tag,
@@ -265,7 +236,7 @@ impl Dram {
     /// Words (and write acks) issued but still waiting out their
     /// latency, for queue-depth sampling.
     pub fn inflight_words(&self) -> usize {
-        self.inflight.len()
+        self.inflight_words
     }
 
     /// True when no job or in-flight word remains.
@@ -297,29 +268,77 @@ impl Dram {
         self.bw.refill_n(n);
     }
 
-    /// Statistics scope, materialized from the integer counters. Only
-    /// nonzero counters are emitted, matching what a per-event `bump`
-    /// scope would have accumulated (absent keys stay absent).
+    /// Statistics scope, materialized from the integer counters (zero
+    /// counters are absent).
     pub fn stats(&self) -> Stats {
-        let mut s = Stats::new();
-        for (key, v) in [
+        Stats::from_counters([
             ("jobs", self.jobs),
             ("job_words", self.job_words),
             ("read_words", self.read_words),
-            ("read_words_unique", self.read_words_unique),
             ("write_words", self.write_words),
-        ] {
-            if v > 0 {
-                s.bump_by(key, v);
+        ])
+    }
+
+    /// Draws the next served word's transient-error outcome: the extra
+    /// latency it pays (zero unless a retry was injected).
+    fn fault_delay(&mut self) -> u64 {
+        self.fault_served += 1;
+        if fault_draw(self.fault_seed, self.fault_served) < self.fault_rate {
+            self.fault_retries += 1;
+            self.fault_retry
+        } else {
+            0
+        }
+    }
+
+    /// Queues `words` served words of `job` starting at `index`, all
+    /// due at `ready`; `last` is true when they end the job. A read run
+    /// extends the newest in-flight run when it continues that run and
+    /// comes due on the same cycle; a write queues only its final word's
+    /// acknowledgement.
+    fn emit(&mut self, job: &ActiveJob, index: u64, words: u64, ready: u64, last: bool) {
+        if let JobKind::Write { .. } = job.kind {
+            if last {
+                self.inflight_words += 1;
+                self.inflight.push_back((
+                    ready,
+                    DramOut {
+                        job: job.id,
+                        tag: job.tag,
+                        index: index + words - 1,
+                        words: 1,
+                        last: true,
+                        is_write_ack: true,
+                    },
+                ));
+            }
+            return;
+        }
+        self.inflight_words += words as usize;
+        if let Some((r, run)) = self.inflight.back_mut() {
+            if *r == ready && run.job == job.id && run.index + run.words == index {
+                run.words += words;
+                run.last = last;
+                return;
             }
         }
-        s
+        self.inflight.push_back((
+            ready,
+            DramOut {
+                job: job.id,
+                tag: job.tag,
+                index,
+                words,
+                last,
+                is_write_ack: false,
+            },
+        ));
     }
 
     /// Advances one cycle: admits jobs, spends bandwidth round-robin
-    /// across active jobs, and returns the outputs whose latency expired
-    /// at cycle `now`.
-    pub fn tick(&mut self, now: u64) -> Vec<DramOut> {
+    /// across active jobs, and appends to `out` the runs whose latency
+    /// expired at cycle `now`.
+    pub fn tick(&mut self, now: u64, out: &mut Vec<DramOut>) {
         self.bw.refill();
 
         // admit
@@ -330,8 +349,10 @@ impl Dram {
             }
         }
 
-        // serve round-robin: rotate through active jobs, one word each,
-        // until bandwidth runs out or all jobs are drained for this cycle
+        // serve round-robin: rotate through active jobs, one burst
+        // each, until bandwidth runs out or all jobs are drained for
+        // this cycle
+        let burst = self.config.burst_words.max(1) as u64;
         let mut served_any = true;
         while served_any && !self.active.is_empty() {
             served_any = false;
@@ -341,124 +362,78 @@ impl Dram {
                 let Some(mut job) = self.active.pop_front() else {
                     break;
                 };
-                let (gather, total) = match &job.kind {
-                    JobKind::Read { addrs, gather } => (*gather, addrs.len()),
-                    JobKind::Write { addrs, gather, .. } => (*gather, addrs.len()),
+                let total = job.kind.words();
+                let cost = if job.kind.gather() {
+                    self.config.gather_cost
+                } else {
+                    1
                 };
-                let cost = if gather { self.config.gather_cost } else { 1 };
-                // serve a burst of consecutive words for this job while
-                // bandwidth lasts (row-buffer locality)
-                let mut served_words = 0usize;
-                let mut finished = false;
-                while served_words < self.config.burst_words.max(1) {
-                    // check before taking: a partial take would discard
-                    // tokens and starve expensive (gather) accesses on
-                    // low-bandwidth configurations forever
-                    if self.bw.available() < cost {
-                        break;
-                    }
-                    let got = self.bw.take_up_to(cost);
-                    debug_assert_eq!(got, cost);
-                    served_any = true;
-                    served_words += 1;
-                    let w = job.next_word;
-                    job.next_word += 1;
-                    let last = job.next_word == total;
-                    let mut ready = now + self.config.latency;
-                    if self.fault_rate > 0.0 {
-                        self.fault_served += 1;
-                        if fault_draw(self.fault_seed, self.fault_served) < self.fault_rate {
-                            ready += self.fault_retry;
-                            self.fault_retries += 1;
-                        }
-                    }
-                    match &job.kind {
-                        JobKind::Read { addrs, .. } => {
-                            let value = self.storage.read(addrs[w]);
-                            self.read_words += 1;
-                            let a = addrs[w] as usize;
-                            let (slot, bit) = (a / 64, 1u64 << (a % 64));
-                            if self.seen_reads[slot] & bit == 0 {
-                                self.seen_reads[slot] |= bit;
-                                self.read_words_unique += 1;
-                            }
-                            self.inflight.push_back((
-                                ready,
-                                DramOut {
-                                    job: job.id,
-                                    tag: job.tag,
-                                    index: w as u64,
-                                    value,
-                                    last,
-                                    is_write_ack: false,
-                                },
-                            ));
-                        }
-                        JobKind::Write {
-                            addrs,
-                            data,
-                            mode,
-                            apply,
-                            ..
-                        } => {
-                            if *apply {
-                                self.storage.update(addrs[w], data[w], *mode);
-                            }
-                            self.write_words += 1;
-                            if last {
-                                self.inflight.push_back((
-                                    ready,
-                                    DramOut {
-                                        job: job.id,
-                                        tag: job.tag,
-                                        index: w as u64,
-                                        value: 0,
-                                        last: true,
-                                        is_write_ack: true,
-                                    },
-                                ));
-                            }
-                        }
-                    }
-                    if last {
-                        finished = true;
-                        break;
-                    }
-                }
-                if served_words == 0 {
+                // a burst of consecutive words for this job while
+                // bandwidth lasts (row-buffer locality). Each word needs
+                // `cost` whole tokens before it is taken — a partial take
+                // would discard credit and starve expensive (gather)
+                // accesses on low-bandwidth configurations forever — so
+                // the burst length is closed-form in the credit
+                let n = burst
+                    .min(total - job.next_word)
+                    .min(self.bw.available().checked_div(cost).unwrap_or(u64::MAX));
+                if n == 0 {
                     // out of bandwidth this cycle; keep job for later
                     self.active.push_front(job);
                     remaining = 0;
                     continue;
                 }
-                if !finished {
+                let got = self.bw.take_up_to(n * cost);
+                debug_assert_eq!(got, n * cost);
+                served_any = true;
+                match job.kind {
+                    JobKind::Read { .. } => self.read_words += n,
+                    JobKind::Write { .. } => self.write_words += n,
+                }
+                let first = job.next_word;
+                job.next_word += n;
+                let ready = now + self.config.latency;
+                if self.fault_rate > 0.0 {
+                    // each word draws its own retry, so runs split
+                    // wherever consecutive words come due apart
+                    for w in first..job.next_word {
+                        let delay = self.fault_delay();
+                        self.emit(&job, w, 1, ready + delay, w + 1 == total);
+                    }
+                } else {
+                    self.emit(&job, first, n, ready, job.next_word == total);
+                }
+                if job.next_word < total {
                     self.active.push_back(job);
                 }
             }
         }
 
-        // release outputs whose latency expired
-        let mut out = Vec::new();
+        // release runs whose latency expired
         while let Some((ready, _)) = self.inflight.front() {
-            if *ready <= now {
-                out.push(self.inflight.pop_front().unwrap().1);
-            } else {
+            if *ready > now {
                 break;
             }
+            let (_, run) = self.inflight.pop_front().expect("front exists");
+            self.inflight_words -= run.words as usize;
+            out.push(run);
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WriteMode;
 
+    fn read(words: u64, gather: bool) -> JobKind {
+        JobKind::Read { words, gather }
+    }
+
+    /// Ticks until idle; returns every output run.
     fn run_until_idle(dram: &mut Dram, max: u64) -> Vec<DramOut> {
         let mut outs = Vec::new();
         for now in 0..max {
-            outs.extend(dram.tick(now));
+            dram.tick(now, &mut outs);
             if dram.is_idle() {
                 break;
             }
@@ -466,30 +441,46 @@ mod tests {
         outs
     }
 
+    /// Expands runs into one `(tag, index, last)` entry per word.
+    fn per_word(outs: &[DramOut]) -> Vec<(u64, u64, bool)> {
+        outs.iter()
+            .flat_map(|o| {
+                (o.index..o.index + o.words)
+                    .map(move |w| (o.tag, w, o.last && w + 1 == o.index + o.words))
+            })
+            .collect()
+    }
+
     #[test]
-    fn read_returns_values_in_order() {
+    fn read_delivers_words_in_order() {
         let mut d = Dram::new(DramConfig {
             words: 64,
             latency: 5,
             ..DramConfig::default()
         });
-        d.storage_mut().load(0, &[10, 20, 30]);
-        d.submit(
-            JobKind::Read {
-                addrs: vec![0, 1, 2],
-                gather: false,
-            },
-            7,
-        )
-        .unwrap();
+        d.submit(read(3, false), 7).unwrap();
         let outs = run_until_idle(&mut d, 1000);
-        assert_eq!(outs.len(), 3);
         assert_eq!(
-            outs.iter().map(|o| o.value).collect::<Vec<_>>(),
-            vec![10, 20, 30]
+            per_word(&outs),
+            vec![(7, 0, false), (7, 1, false), (7, 2, true)]
         );
-        assert!(outs[2].last);
-        assert!(outs.iter().all(|o| o.tag == 7 && !o.is_write_ack));
+        assert!(outs.iter().all(|o| !o.is_write_ack));
+    }
+
+    #[test]
+    fn words_due_together_leave_as_one_run() {
+        // 8 words per cycle, 8-word bursts: 20 words take three service
+        // cycles, so three runs, never one output per word
+        let mut d = Dram::new(DramConfig {
+            words: 64,
+            latency: 5,
+            ..DramConfig::default()
+        });
+        d.submit(read(20, false), 0).unwrap();
+        let outs = run_until_idle(&mut d, 1000);
+        let runs: Vec<(u64, u64, bool)> = outs.iter().map(|o| (o.index, o.words, o.last)).collect();
+        assert_eq!(runs, vec![(0, 8, false), (8, 8, false), (16, 4, true)]);
+        assert_eq!(d.inflight_words(), 0);
     }
 
     #[test]
@@ -499,18 +490,14 @@ mod tests {
             latency: 10,
             ..DramConfig::default()
         });
-        d.submit(
-            JobKind::Read {
-                addrs: vec![0],
-                gather: false,
-            },
-            0,
-        )
-        .unwrap();
+        d.submit(read(1, false), 0).unwrap();
+        let mut outs = Vec::new();
         for now in 0..10 {
-            assert!(d.tick(now).is_empty(), "word appeared before latency");
+            d.tick(now, &mut outs);
+            assert!(outs.is_empty(), "word appeared before latency");
         }
-        assert_eq!(d.tick(10).len(), 1);
+        d.tick(10, &mut outs);
+        assert_eq!(outs.len(), 1);
     }
 
     #[test]
@@ -521,18 +508,12 @@ mod tests {
             latency: 0,
             ..DramConfig::default()
         });
-        d.submit(
-            JobKind::Read {
-                addrs: (0..100).collect(),
-                gather: false,
-            },
-            0,
-        )
-        .unwrap();
+        d.submit(read(100, false), 0).unwrap();
         // 100 words at 2/cycle needs ~50 cycles
         let mut cycles = 0;
+        let mut outs = Vec::new();
         for now in 0..1000 {
-            let _ = d.tick(now);
+            d.tick(now, &mut outs);
             cycles = now;
             if d.is_idle() {
                 break;
@@ -551,17 +532,11 @@ mod tests {
                 gather_cost: 4,
                 ..DramConfig::default()
             });
-            d.submit(
-                JobKind::Read {
-                    addrs: (0..64).collect(),
-                    gather,
-                },
-                0,
-            )
-            .unwrap();
+            d.submit(read(64, gather), 0).unwrap();
             let mut cycles = 0;
+            let mut outs = Vec::new();
             for now in 0..10_000 {
-                let _ = d.tick(now);
+                d.tick(now, &mut outs);
                 cycles = now;
                 if d.is_idle() {
                     break;
@@ -578,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn write_job_acks_once_and_updates_storage() {
+    fn write_job_acks_once() {
         let mut d = Dram::new(DramConfig {
             words: 64,
             latency: 2,
@@ -586,11 +561,8 @@ mod tests {
         });
         d.submit(
             JobKind::Write {
-                addrs: vec![3, 4],
-                data: vec![30, 40],
+                words: 2,
                 gather: false,
-                mode: WriteMode::Overwrite,
-                apply: true,
             },
             1,
         )
@@ -598,31 +570,8 @@ mod tests {
         let outs = run_until_idle(&mut d, 100);
         assert_eq!(outs.len(), 1);
         assert!(outs[0].is_write_ack && outs[0].last);
-        assert_eq!(d.storage().read(3), 30);
-        assert_eq!(d.storage().read(4), 40);
-    }
-
-    #[test]
-    fn min_mode_applies_rmw() {
-        let mut d = Dram::new(DramConfig {
-            words: 8,
-            latency: 0,
-            ..DramConfig::default()
-        });
-        d.storage_mut().write(0, 5);
-        d.submit(
-            JobKind::Write {
-                addrs: vec![0, 0],
-                data: vec![9, 2],
-                gather: true,
-                mode: WriteMode::Min,
-                apply: true,
-            },
-            0,
-        )
-        .unwrap();
-        run_until_idle(&mut d, 100);
-        assert_eq!(d.storage().read(0), 2);
+        assert_eq!((outs[0].index, outs[0].words), (1, 1));
+        assert_eq!(d.stats().counter("write_words"), 2);
     }
 
     #[test]
@@ -637,19 +586,12 @@ mod tests {
             max_active_jobs: 4,
             burst_words: 8,
         });
-        d.submit(
-            JobKind::Read {
-                addrs: vec![1, 2, 3],
-                gather: true,
-            },
-            0,
-        )
-        .unwrap();
-        let mut served = 0;
+        d.submit(read(3, true), 0).unwrap();
+        let mut outs = Vec::new();
         for now in 0..100 {
-            served += d.tick(now).len();
+            d.tick(now, &mut outs);
         }
-        assert_eq!(served, 3, "gather starved at low bandwidth");
+        assert_eq!(per_word(&outs).len(), 3, "gather starved at low bandwidth");
     }
 
     #[test]
@@ -660,26 +602,12 @@ mod tests {
             latency: 0,
             ..DramConfig::default()
         });
-        d.submit(
-            JobKind::Read {
-                addrs: (0..10).collect(),
-                gather: false,
-            },
-            100,
-        )
-        .unwrap();
-        d.submit(
-            JobKind::Read {
-                addrs: (0..10).collect(),
-                gather: false,
-            },
-            200,
-        )
-        .unwrap();
-        let outs = run_until_idle(&mut d, 1000);
+        d.submit(read(10, false), 100).unwrap();
+        d.submit(read(10, false), 200).unwrap();
+        let words = per_word(&run_until_idle(&mut d, 1000));
         // both jobs should finish within one word of each other, i.e.
         // outputs interleave rather than job 1 running first
-        let first_of_second = outs.iter().position(|o| o.tag == 200).unwrap();
+        let first_of_second = words.iter().position(|w| w.0 == 200).unwrap();
         assert!(
             first_of_second <= 2,
             "second job starved until position {first_of_second}"
@@ -687,27 +615,7 @@ mod tests {
     }
 
     #[test]
-    fn unique_read_counter_counts_first_touch_only() {
-        let mut d = Dram::new(DramConfig {
-            words: 64,
-            latency: 0,
-            ..DramConfig::default()
-        });
-        d.submit(
-            JobKind::Read {
-                addrs: vec![1, 2, 1, 2, 3],
-                gather: false,
-            },
-            0,
-        )
-        .unwrap();
-        run_until_idle(&mut d, 100);
-        assert_eq!(d.stats().counter("read_words"), 5);
-        assert_eq!(d.stats().counter("read_words_unique"), 3);
-    }
-
-    #[test]
-    fn fault_retries_delay_but_never_corrupt() {
+    fn fault_retries_delay_but_keep_order() {
         let run = |rate: f64, seed: u64| {
             let mut d = Dram::new(DramConfig {
                 words: 256,
@@ -715,25 +623,17 @@ mod tests {
                 ..DramConfig::default()
             });
             d.set_fault_injection(rate, 50, seed);
-            d.storage_mut().load(0, &(0..128).collect::<Vec<i64>>());
-            d.submit(
-                JobKind::Read {
-                    addrs: (0..128).collect(),
-                    gather: false,
-                },
-                0,
-            )
-            .unwrap();
+            d.submit(read(128, false), 0).unwrap();
             let mut outs = Vec::new();
             let mut cycles = 0;
             for now in 0..100_000 {
-                outs.extend(d.tick(now));
+                d.tick(now, &mut outs);
                 cycles = now;
                 if d.is_idle() {
                     break;
                 }
             }
-            (outs, cycles, d.fault_retries())
+            (per_word(&outs), cycles, d.fault_retries())
         };
         let (clean, clean_cycles, r0) = run(0.0, 9);
         let (faulty, faulty_cycles, r1) = run(0.25, 9);
@@ -743,24 +643,15 @@ mod tests {
         // deterministic: same seed, same retries, same timing
         assert_eq!(r1, r2);
         assert_eq!(faulty_cycles, again_cycles);
-        // retries add latency but values and order are untouched
+        // retries add latency but the delivery order is untouched
         assert!(faulty_cycles > clean_cycles);
-        let vals = |o: &[DramOut]| o.iter().map(|o| o.value).collect::<Vec<_>>();
-        assert_eq!(vals(&clean), vals(&faulty));
-        assert_eq!(vals(&faulty), vals(&again));
+        assert_eq!(clean, faulty);
+        assert_eq!(faulty, again);
     }
 
     #[test]
     fn empty_job_rejected() {
         let mut d = Dram::new(DramConfig::default());
-        assert!(d
-            .submit(
-                JobKind::Read {
-                    addrs: vec![],
-                    gather: false
-                },
-                0
-            )
-            .is_err());
+        assert!(d.submit(read(0, false), 0).is_err());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Two memory spaces exist in the modelled machine:
 //!
-//! * **DRAM** ([`Dram`]) — one global, word-addressed store reached over
+//! * **DRAM** ([`Dram`]) — one global, word-addressed memory reached over
 //!   the NoC through a memory-controller node. Bandwidth is shared by all
 //!   tiles and is the resource that inter-task *read sharing* (multicast)
 //!   conserves. Random (gather) accesses pay a configurable cost factor
@@ -10,28 +10,33 @@
 //! * **Scratchpads** ([`Spad`]) — per-tile, software-managed, one-cycle
 //!   SRAM with private bandwidth.
 //!
-//! Both are *functional*: they store real `i64` words, so the simulator
-//! computes real results which the workloads validate against reference
-//! implementations. Timing is modelled by [`Dram::tick`]'s bandwidth
-//! token bucket plus a fixed service latency.
+//! [`Dram`] is a pure *timing* model: a job is a word count and an
+//! access pattern, served through a bandwidth token bucket plus a fixed
+//! latency, and its words come back as runs ([`DramOut`]) carrying no
+//! values. The DRAM *contents* live in a separate functional image
+//! ([`Storage`]) owned by the simulator, which reads and updates it when
+//! a task dispatches, so results are real and validated against
+//! reference implementations. Scratchpads are functional too: each
+//! [`Spad`] stores its own words.
 //!
 //! # Examples
 //!
 //! ```
 //! use ts_mem::{Dram, DramConfig, JobKind};
 //!
-//! let mut dram = Dram::new(DramConfig { words: 1024, ..DramConfig::default() });
-//! dram.storage_mut().write(5, 42);
-//! let id = dram.submit(JobKind::Read { addrs: vec![5], gather: false }, 0).unwrap();
-//! let mut got = None;
-//! for now in 0..100u64 {
-//!     for out in dram.tick(now) {
-//!         assert_eq!(out.job, id);
-//!         got = Some(out.value);
-//!     }
-//!     if got.is_some() { break; }
+//! let mut dram = Dram::new(DramConfig { latency: 10, ..DramConfig::default() });
+//! let id = dram.submit(JobKind::Read { words: 12, gather: false }, 0).unwrap();
+//! let mut out = Vec::new();
+//! let mut now = 0;
+//! while !dram.is_idle() {
+//!     dram.tick(now, &mut out);
+//!     now += 1;
 //! }
-//! assert_eq!(got, Some(42));
+//! // 8 words per cycle in 8-word bursts: two service cycles, two runs
+//! assert_eq!(out.len(), 2);
+//! assert!(out.iter().all(|run| run.job == id));
+//! assert_eq!(out.iter().map(|run| run.words).sum::<u64>(), 12);
+//! assert!(out[1].last);
 //! ```
 
 #![forbid(unsafe_code)]

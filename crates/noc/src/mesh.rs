@@ -146,7 +146,14 @@ pub struct Mesh<P> {
     /// Staging area for flits that advanced this cycle, reused across
     /// ticks so the hot loop does not allocate.
     moved: Vec<(NodeId, usize, Flit<P>)>,
-    stats: Stats,
+    /// Traffic counters kept as plain integers — hops and stalls are
+    /// bumped per flit per cycle, so the generic [`Stats`] scope is
+    /// materialized on demand (see [`Mesh::stats`]).
+    injected: u64,
+    injected_branches: u64,
+    delivered: u64,
+    flit_hops: u64,
+    stall_cycles: u64,
 }
 
 impl<P: Clone> Mesh<P> {
@@ -178,7 +185,11 @@ impl<P: Clone> Mesh<P> {
             rotate: 0,
             link_used: vec![[false; 5]; n],
             moved: Vec::new(),
-            stats: Stats::new(),
+            injected: 0,
+            injected_branches: 0,
+            delivered: 0,
+            flit_hops: 0,
+            stall_cycles: 0,
         }
     }
 
@@ -240,12 +251,12 @@ impl<P: Clone> Mesh<P> {
             Ok(()) => {
                 self.queued += 1;
                 self.node_queued[src] += 1;
-                self.stats.bump("injected");
+                self.injected += 1;
                 // one branch per (deduplicated) destination: the
                 // conservation invariant `delivered == injected_branches`
                 // holds at quiescence because every branch of a
                 // multicast tree ends in exactly one ejection
-                self.stats.bump_by("injected_branches", branches);
+                self.injected_branches += branches;
                 Ok(())
             }
             Err(e) => Err(InjectError(e.0.payload.into_inner())),
@@ -339,9 +350,16 @@ impl<P: Clone> Mesh<P> {
     /// Statistics: `injected` (one per flit), `injected_branches` (one
     /// per deduplicated destination), `delivered`, `flit_hops`,
     /// `stall_cycles`. With every ejection buffer drained,
-    /// `delivered == injected_branches`.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// `delivered == injected_branches`. Materialized from the integer
+    /// counters (zero counters are absent).
+    pub fn stats(&self) -> Stats {
+        Stats::from_counters([
+            ("injected", self.injected),
+            ("injected_branches", self.injected_branches),
+            ("delivered", self.delivered),
+            ("flit_hops", self.flit_hops),
+            ("stall_cycles", self.stall_cycles),
+        ])
     }
 
     fn xy_next(&self, here: NodeId, dst: NodeId) -> Dir {
@@ -408,13 +426,13 @@ impl<P: Clone> Mesh<P> {
                     let dir = self.xy_next(node, dst);
                     let di = dir_index(dir);
                     if self.link_used[node][di] {
-                        self.stats.bump("stall_cycles");
+                        self.stall_cycles += 1;
                         continue;
                     }
                     match dir {
                         Dir::Eject => {
                             if self.eject[node].is_full() {
-                                self.stats.bump("stall_cycles");
+                                self.stall_cycles += 1;
                                 continue;
                             }
                             self.link_used[node][di] = true;
@@ -425,7 +443,7 @@ impl<P: Clone> Mesh<P> {
                                 unreachable!("ejection space was checked");
                             }
                             self.ejected += 1;
-                            self.stats.bump("delivered");
+                            self.delivered += 1;
                         }
                         _ => {
                             let next = self.neighbour(node, dir);
@@ -435,7 +453,7 @@ impl<P: Clone> Mesh<P> {
                                 .filter(|(t, ip, _)| *t == next && *ip == in_port)
                                 .count();
                             if self.queues[next][in_port].free_space() <= pending_here {
-                                self.stats.bump("stall_cycles");
+                                self.stall_cycles += 1;
                                 continue;
                             }
                             self.link_used[node][di] = true;
@@ -443,7 +461,7 @@ impl<P: Clone> Mesh<P> {
                             self.queued -= 1;
                             self.node_queued[node] -= 1;
                             moved.push((next, in_port, flit));
-                            self.stats.bump("flit_hops");
+                            self.flit_hops += 1;
                         }
                     }
                     continue;
@@ -504,7 +522,7 @@ impl<P: Clone> Mesh<P> {
                     Some(self.queues[node][port].pop().expect("head exists").payload)
                 } else {
                     if sends.is_empty() {
-                        self.stats.bump("stall_cycles");
+                        self.stall_cycles += 1;
                     }
                     self.queues[node][port]
                         .front_mut()
@@ -530,7 +548,7 @@ impl<P: Clone> Mesh<P> {
                                 unreachable!("ejection space was checked");
                             }
                             self.ejected += 1;
-                            self.stats.bump("delivered");
+                            self.delivered += 1;
                         }
                         _ => {
                             moved.push((
@@ -541,7 +559,7 @@ impl<P: Clone> Mesh<P> {
                                     payload: load,
                                 },
                             ));
-                            self.stats.bump("flit_hops");
+                            self.flit_hops += 1;
                         }
                     }
                 }

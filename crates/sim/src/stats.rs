@@ -139,6 +139,20 @@ impl Stats {
         Stats::default()
     }
 
+    /// Materializes a scope from counters a component keeps as plain
+    /// integers (hot paths skip the per-event name lookup). Zero
+    /// counters are left out, exactly as a scope that was never bumped
+    /// for them would be.
+    pub fn from_counters<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> Self {
+        let mut s = Stats::new();
+        for (key, v) in counters {
+            if v > 0 {
+                s.bump_by(key, v);
+            }
+        }
+        s
+    }
+
     /// Increments a counter by one.
     pub fn bump(&mut self, key: &str) {
         self.bump_by(key, 1);
