@@ -128,11 +128,9 @@ pub struct RunReport {
     /// Merged statistics from every component (`tileN.*`, `noc.*`,
     /// `dram.*`, `dispatch.*`).
     pub stats: Report,
-    /// Final DRAM contents — materialized eagerly by the simulator,
-    /// lazily for cache-loaded reports (the sweep pipeline reads only
-    /// `stats`, so a warm cache hit should not pay for an image it
-    /// never looks at).
-    dram: LazyDram,
+    /// Final DRAM contents, or only their digest for a cache-built
+    /// report.
+    dram: Dram,
     /// Tasks completed over the run.
     pub tasks_completed: u64,
     /// Sampled occupancy: `(cycle, busy tiles)` every
@@ -162,55 +160,15 @@ pub struct RunReport {
     pub faults: FaultReport,
 }
 
-/// DRAM image that is either dense (fresh simulation) or a run-length
-/// encoding expanded on first read (cache-loaded report). Expansion
-/// writes only the non-zero runs into a zero-initialized [`Storage`],
-/// so a report whose image is never inspected costs a few hundred
-/// bytes instead of the full word count.
+/// Final DRAM state: the whole image for a fresh simulation, only its
+/// [`RunReport::dram_digest`] for a report rebuilt from the result
+/// cache (no experiment reads the image after validation, and it is
+/// almost all of an entry's size).
 #[derive(Debug, Clone)]
-struct LazyDram {
-    dense: std::sync::OnceLock<Storage>,
-    /// `(total words, runs as (length, value))`; present only for
-    /// cache-loaded reports.
-    runs: Option<(usize, Vec<(usize, Value)>)>,
+enum Dram {
+    Image(Storage),
+    Digest(u64),
 }
-
-impl LazyDram {
-    fn dense(storage: Storage) -> Self {
-        let cell = std::sync::OnceLock::new();
-        let _ = cell.set(storage);
-        LazyDram {
-            dense: cell,
-            runs: None,
-        }
-    }
-
-    fn rle(len: usize, runs: Vec<(usize, Value)>) -> Self {
-        LazyDram {
-            dense: std::sync::OnceLock::new(),
-            runs: Some((len, runs)),
-        }
-    }
-
-    fn get(&self) -> &Storage {
-        self.dense.get_or_init(|| {
-            let (len, runs) = self
-                .runs
-                .as_ref()
-                .expect("report holds either a dense image or RLE runs");
-            let mut s = Storage::new(*len);
-            let mut pos: Addr = 0;
-            for &(n, v) in runs {
-                if v != 0 {
-                    s.fill(pos, n, v);
-                }
-                pos += n as Addr;
-            }
-            s
-        })
-    }
-}
-
 impl RunReport {
     /// Cycles between occupancy samples in [`RunReport::timeline`].
     pub const TIMELINE_STRIDE: u64 = 256;
@@ -231,7 +189,7 @@ impl RunReport {
         RunReport {
             cycles,
             stats,
-            dram: LazyDram::dense(dram),
+            dram: Dram::Image(dram),
             tasks_completed,
             timeline,
             skipped_cycles,
@@ -262,49 +220,79 @@ impl RunReport {
             .collect()
     }
 
+    /// The final DRAM image of a fresh simulation.
+    fn image(&self) -> &Storage {
+        match &self.dram {
+            Dram::Image(s) => s,
+            Dram::Digest(_) => {
+                panic!("cached reports carry only the DRAM digest, not the image")
+            }
+        }
+    }
+
     /// Reads one word of the final DRAM image.
     ///
     /// # Panics
     ///
-    /// Panics if the address is out of range.
+    /// Panics if the address is out of range, or if the report was
+    /// rebuilt from the result cache: cached reports carry only the
+    /// DRAM digest, not the image.
     pub fn dram(&self, addr: Addr) -> Value {
-        self.dram.get().read(addr)
+        self.image().read(addr)
     }
 
     /// Reads a contiguous range of the final DRAM image.
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of bounds.
+    /// Panics if the range is out of bounds, or if the report was
+    /// rebuilt from the result cache: cached reports carry only the
+    /// DRAM digest, not the image.
     pub fn dram_range(&self, base: Addr, len: usize) -> &[Value] {
-        self.dram.get().read_range(base, len)
+        self.image().read_range(base, len)
     }
 
-    /// Size of the final DRAM image, in words. Together with
-    /// [`RunReport::dram_range`] this lets external serializers (the
-    /// bench harness's persistent result cache) capture the whole
-    /// image without the report exposing its private [`Storage`].
-    pub fn dram_len(&self) -> usize {
-        match self.dram.dense.get() {
-            Some(s) => s.len(),
-            None => self.dram.runs.as_ref().expect("RLE runs present").0,
+    /// A 64-bit digest of the final DRAM image: FNV-1a, one whole word
+    /// per step, in four interleaved lanes (word `i` feeds lane
+    /// `i % 4`) so the multiplies overlap, then one fold over the
+    /// length, the lane states and the words left over. Each step is a
+    /// bijection of its running state, so changing any single word
+    /// changes the digest. A cache-built report returns the digest it
+    /// was stored with.
+    pub fn dram_digest(&self) -> u64 {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        let step = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        let image = match &self.dram {
+            Dram::Image(s) => s,
+            Dram::Digest(d) => return *d,
+        };
+        let words = image.read_range(0, image.len());
+        let chunks = words.chunks_exact(4);
+        let rest = chunks.remainder().iter().map(|&w| w as u64);
+        let mut lanes = [OFFSET; 4];
+        for chunk in chunks {
+            for (lane, &w) in lanes.iter_mut().zip(chunk) {
+                *lane = step(*lane, w as u64);
+            }
         }
+        std::iter::once(words.len() as u64)
+            .chain(lanes)
+            .chain(rest)
+            .fold(OFFSET, step)
     }
 
     /// Reassembles a report from externally persisted parts — the
     /// constructor behind the bench harness's content-addressed result
-    /// cache. The DRAM image arrives run-length encoded
-    /// (`dram_len` total words, runs as `(length, value)` pairs) and is
-    /// expanded only if something reads it — the sweep pipeline never
-    /// does, so a warm cache hit skips the multi-megabyte materialize.
-    /// Carries no event trace (`trace` is observability output, never
-    /// persisted; cached runs come back with an empty one).
+    /// cache. The DRAM image is represented by its
+    /// [`RunReport::dram_digest`] only, so [`RunReport::dram`] and
+    /// [`RunReport::dram_range`] panic on the result. Carries no event
+    /// trace (`trace` is observability output, never persisted; cached
+    /// runs come back with an empty one).
     #[allow(clippy::too_many_arguments)]
     pub fn from_cached_parts(
         cycles: u64,
         stats: Report,
-        dram_len: usize,
-        dram_runs: Vec<(usize, Value)>,
+        dram_digest: u64,
         tasks_completed: u64,
         timeline: Vec<(u64, u32)>,
         skipped_cycles: u64,
@@ -314,7 +302,7 @@ impl RunReport {
         RunReport {
             cycles,
             stats,
-            dram: LazyDram::rle(dram_len, dram_runs),
+            dram: Dram::Digest(dram_digest),
             tasks_completed,
             timeline,
             skipped_cycles,
@@ -464,5 +452,70 @@ impl RunReport {
                 violations.join("\n  ")
             ))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fresh(image: &[Value]) -> RunReport {
+        let mut dram = Storage::new(image.len());
+        dram.load(0, image);
+        RunReport::new(
+            0,
+            Report::new(),
+            dram,
+            0,
+            Vec::new(),
+            0,
+            SimProfile::default(),
+            Vec::new(),
+            0,
+            FaultReport::default(),
+        )
+    }
+
+    fn cached(digest: u64) -> RunReport {
+        RunReport::from_cached_parts(
+            0,
+            Report::new(),
+            digest,
+            0,
+            Vec::new(),
+            0,
+            SimProfile::default(),
+            FaultReport::default(),
+        )
+    }
+
+    #[test]
+    fn changing_any_single_word_changes_the_digest() {
+        let image: Vec<Value> = (0..257).map(|i| (i % 5) - 2).collect();
+        let base = fresh(&image).dram_digest();
+        for i in 0..image.len() {
+            for delta in [1, -1, i64::MIN] {
+                let mut changed = image.clone();
+                changed[i] = changed[i].wrapping_add(delta);
+                assert_ne!(fresh(&changed).dram_digest(), base, "word {i} {delta:+}");
+            }
+        }
+        // A trailing zero word is content too.
+        let mut longer = image.clone();
+        longer.push(0);
+        assert_ne!(fresh(&longer).dram_digest(), base);
+        assert_eq!(cached(base).dram_digest(), base);
+    }
+
+    #[test]
+    #[should_panic(expected = "cached reports carry only the DRAM digest")]
+    fn a_cached_report_has_no_image_to_read() {
+        cached(7).dram_range(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cached reports carry only the DRAM digest")]
+    fn a_cached_report_has_no_word_to_read() {
+        cached(7).dram(0);
     }
 }

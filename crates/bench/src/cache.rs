@@ -16,7 +16,9 @@
 //!   initial task graph plus the full initial memory image, hashed from
 //!   a freshly built program. Two workloads produce the same hash iff
 //!   they hand the accelerator the same program, so scale/seed/grain
-//!   parameters are captured without per-workload code;
+//!   parameters are captured without per-workload code. The `Debug`
+//!   forms stream into the hasher through its [`fmt::Write`] impl, so
+//!   hashing a program builds no strings;
 //! * the full `Debug` form of the [`DeltaConfig`] *after* the
 //!   process-wide engine override is applied;
 //! * a code-version salt: an FNV-1a hash of the running executable's
@@ -24,26 +26,37 @@
 //!   and benchmarking override it via `TS_CACHE_SALT` when they *want*
 //!   cross-binary sharing or a forced miss.
 //!
-//! **Value** = the full [`RunReport`] (or the wedged outcome of a
-//! fault run), serialized with the same hand-rolled strings-only JSON
-//! the goldens use ([`crate::golden`]) — numbers travel as decimal
-//! strings, `f64`s as bit-pattern hex (exact round-trip), and the DRAM
-//! image as one run-length-encoded string. Event traces are never
-//! cached: a traced run bypasses the cache entirely.
+//! **Value** (entry format `"2"`) = what experiments read from a
+//! [`RunReport`]: cycles, tasks completed, skipped cycles, stats,
+//! timeline, profile and fault tallies, plus
+//! [`RunReport::dram_digest`] in place of the final DRAM image (the
+//! image was already validated on the fresh run, nothing reads it
+//! afterwards, and it made up almost all of an entry's bytes). A
+//! wedged fault run stores just its cycle count. Entries use the same
+//! hand-rolled strings-only JSON the goldens use ([`crate::golden`]):
+//! numbers travel as decimal strings and `f64`s as bit-pattern hex
+//! (exact round-trip). Event traces are never cached: a traced run
+//! bypasses the cache entirely.
+//!
+//! Nothing reads the stored digest yet: it is the value a future
+//! `repro cache verify` compares a re-simulation against. Until then a
+//! well-formed but wrong entry is served as it stands.
 //!
 //! The cache is **disabled by default** and switched on by the `repro`
 //! CLI (`repro sweep`, unless `--no-cache`). Entries live under
 //! `$TS_CACHE_DIR` (default `./.ts-cache`), one file per key, written
 //! atomically (temp file + rename) so concurrent sweeps never observe
-//! a torn entry. A corrupt or unreadable entry degrades to a miss.
+//! a torn entry. A corrupt or unreadable entry, or one of another
+//! entry format, degrades to a miss.
 
 use crate::golden::{json_str, Json, Parser};
 use crate::FaultOutcome;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use taskstream_model::{Program, Spawner, Value};
+use taskstream_model::{Program, Spawner};
 use ts_delta::{DeltaConfig, FaultReport, RunReport, SimProfile, STRETCH_BUCKETS};
 use ts_workloads::Workload;
 
@@ -208,6 +221,21 @@ impl Fnv {
     fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
+
+    /// Hashes `v`'s `Debug` form plus the separator: the same bytes as
+    /// `write_str(&format!("{v:?}"))`, streamed through the
+    /// [`fmt::Write`] impl without building the string.
+    fn write_debug(&mut self, v: &dyn fmt::Debug) {
+        write!(self, "{v:?}").expect("hashing cannot fail");
+        self.write(&[0xff]);
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Code-version salt: FNV-1a over the running executable's bytes, so a
@@ -248,7 +276,7 @@ pub(crate) fn program_fingerprint(wl: &dyn Workload, baseline: bool) -> u64 {
     h.write_str(wl.name());
     h.write_str(program.name());
     for tt in program.task_types() {
-        h.write_str(&format!("{tt:?}"));
+        h.write_debug(&tt);
     }
     let image = program.memory_image();
     for (tag, segments) in [(b'd', &image.dram), (b's', &image.spad)] {
@@ -266,10 +294,10 @@ pub(crate) fn program_fingerprint(wl: &dyn Workload, baseline: bool) -> u64 {
     let (tasks, pipes) = spawner.take();
     h.write_u64(tasks.len() as u64);
     for t in &tasks {
-        h.write_str(&format!("{t:?}"));
+        h.write_debug(t);
     }
     for p in &pipes {
-        h.write_str(&format!("{p:?}"));
+        h.write_debug(p);
     }
     h.0
 }
@@ -349,54 +377,6 @@ fn dec_f64(s: &str, what: &str) -> Result<f64, String> {
     u64::from_str_radix(s, 16)
         .map(f64::from_bits)
         .map_err(|e| format!("{what}: {e}"))
-}
-
-/// DRAM image as one run-length-encoded string: `len;count:value,...`.
-/// Final images are dominated by long runs (untouched regions, zero
-/// fills), so this keeps multi-megaword images to a few kilobytes.
-fn enc_dram(report: &RunReport) -> String {
-    let words = report.dram_range(0, report.dram_len());
-    let mut out = format!("{};", words.len());
-    let mut i = 0;
-    while i < words.len() {
-        let v = words[i];
-        let mut j = i + 1;
-        while j < words.len() && words[j] == v {
-            j += 1;
-        }
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", j - i, v));
-        i = j;
-    }
-    out
-}
-
-/// Parses the RLE string into `(total words, runs)` without expanding:
-/// the report materializes the image lazily, so a warm hit whose DRAM
-/// is never read keeps just these few hundred bytes of runs.
-fn dec_dram(s: &str) -> Result<(usize, Vec<(usize, Value)>), String> {
-    let (len_s, runs_s) = s.split_once(';').ok_or("dram: missing length prefix")?;
-    let len: usize = len_s.parse().map_err(|e| format!("dram length: {e}"))?;
-    let mut runs = Vec::new();
-    let mut total = 0usize;
-    if !runs_s.is_empty() {
-        for run in runs_s.split(',') {
-            let (n, v) = run.split_once(':').ok_or("dram: malformed run")?;
-            let n: usize = n.parse().map_err(|e| format!("dram run count: {e}"))?;
-            let v: Value = v.parse().map_err(|e| format!("dram run value: {e}"))?;
-            if n == 0 || total + n > len {
-                return Err("dram: runs disagree with length".into());
-            }
-            total += n;
-            runs.push((n, v));
-        }
-    }
-    if total != len {
-        return Err("dram: runs disagree with length".into());
-    }
-    Ok((len, runs))
 }
 
 /// `SimProfile` as a fixed-order list of decimal strings.
@@ -510,13 +490,13 @@ fn encode(outcome: &FaultOutcome) -> String {
     let report = match outcome {
         FaultOutcome::Wedged { cycles } => {
             return format!(
-                "{{\"format\": \"1\", \"kind\": \"wedged\", \"cycles\": {}}}\n",
+                "{{\"format\": \"2\", \"kind\": \"wedged\", \"cycles\": {}}}\n",
                 json_str(&cycles.to_string())
             );
         }
         FaultOutcome::Completed(r) => r,
     };
-    let mut s = String::from("{\n\"format\": \"1\",\n\"kind\": \"completed\",\n");
+    let mut s = String::from("{\n\"format\": \"2\",\n\"kind\": \"completed\",\n");
     s.push_str(&format!(
         "\"cycles\": {},\n",
         json_str(&report.cycles.to_string())
@@ -544,7 +524,10 @@ fn encode(outcome: &FaultOutcome) -> String {
         "\"timeline\": {},\n",
         json_str(&timeline.join(" "))
     ));
-    s.push_str(&format!("\"dram\": {},\n", json_str(&enc_dram(report))));
+    s.push_str(&format!(
+        "\"dram_digest\": \"{:016x}\",\n",
+        report.dram_digest()
+    ));
     let to_text = |j: &Json| match j {
         Json::Arr(items) => {
             let parts: Vec<String> = items
@@ -576,7 +559,7 @@ fn decode(text: &str) -> Result<FaultOutcome, String> {
             .map(|(_, v)| v)
             .ok_or_else(|| format!("missing field '{name}'"))
     };
-    if field("format")?.as_str() != Some("1") {
+    if field("format")?.as_str() != Some("2") {
         return Err("unknown format version".into());
     }
     let cycles = dec_u64(field("cycles")?, "cycles")?;
@@ -608,12 +591,13 @@ fn decode(text: &str) -> Result<FaultOutcome, String> {
             b.parse().map_err(|e| format!("timeline busy: {e}"))?,
         ));
     }
-    let (dram_len, dram_runs) = dec_dram(field("dram")?.as_str().ok_or("dram must be a string")?)?;
+    let dram_digest = field("dram_digest")?
+        .as_str()
+        .ok_or("dram_digest must be a string")?;
     let report = RunReport::from_cached_parts(
         cycles,
         stats,
-        dram_len,
-        dram_runs,
+        u64::from_str_radix(dram_digest, 16).map_err(|e| format!("dram_digest: {e}"))?,
         dec_u64(field("tasks_completed")?, "tasks_completed")?,
         timeline,
         dec_u64(field("skipped_cycles")?, "skipped_cycles")?,
@@ -759,38 +743,84 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dram_rle_roundtrips() {
-        for words in [
-            vec![],
-            vec![0i64],
-            vec![5, 5, 5, -2, 0, 0, 0, 0, 9],
-            vec![1; 1000],
-        ] {
-            let mut s = format!("{};", words.len());
-            let mut i = 0;
-            while i < words.len() {
-                let v = words[i];
-                let mut j = i + 1;
-                while j < words.len() && words[j] == v {
-                    j += 1;
-                }
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("{}:{}", j - i, v));
-                i = j;
-            }
-            let (len, runs) = dec_dram(&s).unwrap();
-            assert_eq!(len, words.len());
-            let expanded: Vec<Value> = runs
-                .iter()
-                .flat_map(|&(n, v)| std::iter::repeat_n(v, n))
-                .collect();
-            assert_eq!(expanded, words);
+    /// A chaos-fault run of tiny spmv: every field an entry keeps is
+    /// populated, fault tallies included.
+    fn fresh_tiny_report() -> RunReport {
+        use ts_delta::FaultsConfig;
+        let wl = ts_workloads::spmv::Spmv::tiny(crate::experiments::SEED);
+        let faults = FaultsConfig {
+            tile_fail_window: 256,
+            ..FaultsConfig::chaos()
+        };
+        let cfg = DeltaConfig::delta(8)
+            .to_builder()
+            .faults(faults)
+            .stall_limit(200_000)
+            .build();
+        match crate::run_faulted(&wl, cfg, false) {
+            FaultOutcome::Completed(r) => *r,
+            FaultOutcome::Wedged { .. } => panic!("the recovering chaos run must complete"),
         }
-        assert!(dec_dram("3;1:5").is_err(), "short runs must be rejected");
-        assert!(dec_dram("1;2:5").is_err(), "long runs must be rejected");
+    }
+
+    #[test]
+    fn fresh_runs_roundtrip_through_an_entry() {
+        let fresh = fresh_tiny_report();
+        assert!(fresh.faults.injected() > 0 && !fresh.timeline.is_empty());
+        let text = encode(&FaultOutcome::Completed(Box::new(fresh.clone())));
+        let back = match decode(&text).unwrap() {
+            FaultOutcome::Completed(r) => r,
+            FaultOutcome::Wedged { .. } => panic!("wrong kind"),
+        };
+        assert_eq!(back.cycles, fresh.cycles);
+        assert_eq!(back.tasks_completed, fresh.tasks_completed);
+        assert_eq!(back.skipped_cycles, fresh.skipped_cycles);
+        assert_eq!(back.stats, fresh.stats);
+        assert_eq!(back.timeline, fresh.timeline);
+        assert_eq!(back.profile, fresh.profile);
+        assert_eq!(back.faults, fresh.faults);
+        assert_eq!(back.dram_digest(), fresh.dram_digest());
+
+        // The same entry under the previous format number (which
+        // stored the whole image) is not served.
+        let old = text.replacen("\"format\": \"2\"", "\"format\": \"1\"", 1);
+        assert_ne!(old, text);
+        assert!(decode(&old).is_err(), "format-1 entries must be rejected");
+    }
+
+    /// A task type, an instance with stream, shared-stream and pipe
+    /// bindings, and a pipe declaration each leave the hasher in the
+    /// same state streamed through `write_debug` as formatted first.
+    #[test]
+    fn streamed_debug_hashes_like_the_formatted_string() {
+        use taskstream_model::{MergeKernel, PipeDecl, PipeId, RegionId, TaskInstance};
+        use taskstream_model::{TaskKernel, TaskType, TaskTypeId};
+        use ts_mem::WriteMode;
+        use ts_stream::StreamDesc;
+        use ts_workloads::Workload;
+
+        let spmv = ts_workloads::spmv::Spmv::tiny(crate::experiments::SEED);
+        let dfg_type = spmv.make_program().task_types().remove(0);
+        let native_type = TaskType::new("merge", TaskKernel::native(MergeKernel));
+        let task = TaskInstance::new(TaskTypeId(2))
+            .params([4, -9])
+            .input_stream(StreamDesc::dram(64, 16))
+            .input_shared(StreamDesc::dram(0, 8), RegionId(5))
+            .input_pipe(PipeId(3))
+            .output_memory(StreamDesc::dram(128, 16), WriteMode::Add)
+            .output_pipe(PipeId(4))
+            .affinity(7);
+        let pipe = PipeDecl {
+            id: PipeId(4),
+            capacity_hint: 16,
+        };
+        let values: [&dyn fmt::Debug; 4] = [&dfg_type, &native_type, &task, &pipe];
+        for v in values {
+            let (mut streamed, mut formatted) = (Fnv::new(), Fnv::new());
+            streamed.write_debug(v);
+            formatted.write_str(&format!("{v:?}"));
+            assert_eq!(streamed.0, formatted.0, "{v:?}");
+        }
     }
 
     #[test]
@@ -837,7 +867,8 @@ mod tests {
     fn corrupt_entries_are_rejected() {
         assert!(decode("").is_err());
         assert!(decode("{}").is_err());
-        assert!(decode("{\"format\": \"2\", \"kind\": \"wedged\", \"cycles\": \"1\"}").is_err());
-        assert!(decode("{\"format\": \"1\", \"kind\": \"lost\", \"cycles\": \"1\"}").is_err());
+        assert!(decode("{\"format\": \"1\", \"kind\": \"wedged\", \"cycles\": \"1\"}").is_err());
+        assert!(decode("{\"format\": \"3\", \"kind\": \"wedged\", \"cycles\": \"1\"}").is_err());
+        assert!(decode("{\"format\": \"2\", \"kind\": \"lost\", \"cycles\": \"1\"}").is_err());
     }
 }
